@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -25,9 +26,6 @@ from . import corpus, driftloop, features, metrics, svm
 logger = logging.getLogger(__name__)
 
 FORMATS = ("enron", "pu", "ecml", "synth")
-MODES = ("batch", "incremental")
-KERNELS = ("linear", "rbf")
-EXPERIMENTS = ("single", "1", "2")
 
 
 class CliError(Exception):
@@ -60,24 +58,14 @@ class RunConfig:
     synth_overlap: float = 0.2
 
     def validate(self) -> "RunConfig":
-        if self.format not in FORMATS:
-            raise CliError(f"format must be one of {FORMATS}, got {self.format!r}")
-        if self.selector not in features.SELECTORS:
-            raise CliError(
-                f"selector must be one of {features.SELECTORS}, got {self.selector!r}"
-            )
-        if self.mode not in MODES:
-            raise CliError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.kernel not in KERNELS:
-            raise CliError(f"kernel must be one of {KERNELS}, got {self.kernel!r}")
-        if self.experiment not in EXPERIMENTS:
-            raise CliError(
-                f"experiment must be one of {EXPERIMENTS}, got {self.experiment!r}"
-            )
+        for key, choices in _CHOICES.items():
+            value = getattr(self, key)
+            if value not in choices:
+                raise CliError(f"{key} must be one of {choices}, got {value!r}")
         if not 0.0 < self.rho < 1.0:
             raise CliError(f"rho must be in (0,1), got {self.rho}")
-        if self.c <= 0:
-            raise CliError(f"c must be > 0, got {self.c}")
+        if not 0.0 < self.c < math.inf:
+            raise CliError(f"c must be finite and > 0, got {self.c}")
         if self.n < 1:
             raise CliError(f"n must be >= 1, got {self.n}")
         if not 0.0 < self.train_fraction < 1.0:
@@ -86,28 +74,33 @@ class RunConfig:
             )
         if self.n_batches < 1:
             raise CliError(f"n_batches must be >= 1, got {self.n_batches}")
-        if self.kernel == "rbf" and (self.gamma is None or self.gamma <= 0):
-            raise CliError("kernel rbf requires gamma > 0")
+        if self.kernel == "rbf" and (
+            self.gamma is None or not 0.0 < self.gamma < math.inf
+        ):
+            raise CliError(f"kernel rbf requires a finite gamma > 0, got {self.gamma}")
         if not 0.0 <= self.synth_overlap <= 1.0:
             raise CliError(f"synth_overlap must be in [0,1], got {self.synth_overlap}")
-        if self.fpr_trigger not in ("prev_batch", "since_retrain"):
-            raise CliError(
-                f"fpr_trigger must be prev_batch or since_retrain, got {self.fpr_trigger!r}"
-            )
         if self.format != "synth" and not self.dataset and not self.manifest:
             raise CliError("dataset path is required (or provide a manifest)")
         return self
 
 
-_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
-_BOOL_KEYS = {"chronological"}
-_INT_KEYS = {"n", "seed", "n_batches", "synth_vocab", "synth_docs_per_phase",
-             "synth_drift_point"}
-_FLOAT_KEYS = {"rho", "c", "gamma", "train_fraction", "synth_overlap"}
+_CHOICES = {
+    "format": FORMATS,
+    "selector": features.SELECTORS,
+    "mode": tuple(m.value for m in driftloop.SessionMode),
+    "kernel": ("linear", "rbf"),
+    "experiment": ("single", "1", "2"),
+    "fpr_trigger": tuple(t.value for t in driftloop.FprTrigger),
+}
+# Scalar type of each key, from its annotation: "float | None" -> float.
+_SCALARS = {"bool": bool, "int": int, "float": float, "str": str}
+_TYPES = {f.name: _SCALARS[f.type.split(" | ")[0]] for f in fields(RunConfig)}
 
 
 def _coerce(key: str, raw: str):
-    if key in _BOOL_KEYS:
+    kind = _TYPES[key]
+    if kind is bool:
         value = raw.strip().lower()
         if value in ("true", "1", "yes"):
             return True
@@ -115,13 +108,9 @@ def _coerce(key: str, raw: str):
             return False
         raise CliError(f"{key} must be true or false, got {raw!r}")
     try:
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            return float(raw)
+        return kind(raw)
     except ValueError:
         raise CliError(f"{key} has a malformed value: {raw!r}") from None
-    return raw
 
 
 def read_config_file(path) -> dict:
@@ -138,7 +127,7 @@ def read_config_file(path) -> dict:
                 raise CliError(f"{path}:{line_no}: expected `key = value`")
             key = key.strip()
             raw = raw.strip()
-            if key not in _FIELD_TYPES:
+            if key not in _TYPES:
                 unknown.append(key)
                 continue
             values[key] = _coerce(key, raw)
@@ -153,14 +142,18 @@ def parse_config(file_path=None, overrides=None) -> RunConfig:
     for key, value in (overrides or {}).items():
         if value is None:
             continue
-        if key not in _FIELD_TYPES:
+        if key not in _TYPES:
             raise CliError(f"unknown configuration key: {key}")
         values[key] = value
     return RunConfig(**values).validate()
 
 
 def dump_config(config: RunConfig) -> str:
-    """Canonical `key = value` rendering; omitted keys are unset options."""
+    """Canonical `key = value` rendering; omitted keys are unset options.
+
+    A value that `read_config_file` would read back differently (one with
+    a `#`, a line break, or surrounding whitespace) is an error.
+    """
     lines = []
     for f in fields(RunConfig):
         value = getattr(config, f.name)
@@ -172,6 +165,8 @@ def dump_config(config: RunConfig) -> str:
             text = repr(value)
         else:
             text = str(value)
+        if "#" in text or "\n" in text or "\r" in text or text != text.strip():
+            raise CliError(f"{f.name} cannot be written to a config file: {text!r}")
         lines.append(f"{f.name} = {text}")
     return "\n".join(lines) + "\n"
 
@@ -335,13 +330,11 @@ def _table_row(name: str, selector: str, report: driftloop.SessionReport) -> dic
     }
 
 
-def _emit_session_files(name, selector, report, out_dir: Path, state=None) -> None:
+def _emit_session_files(name, selector, report, out_dir: Path) -> None:
     stem = f"{name}_{selector}_{report.mode}"
     (out_dir / f"{stem}.session.json").write_text(
         report.to_json() + "\n", encoding="utf-8"
     )
-    if state is not None:
-        driftloop.save_checkpoint(state, out_dir / f"{stem}.checkpoint.json")
     truths = set(report.truths)
     if len(truths) == 2:
         points = metrics.roc_points(report.scores, report.truths)
@@ -352,10 +345,10 @@ def _emit_session_files(name, selector, report, out_dir: Path, state=None) -> No
 
 def _run_one(entry, config, selector, mode, out_dir) -> dict:
     partition = build_partition(entry, config)
-    report, state = driftloop.run_session_with_state(
+    report = driftloop.run_session(
         partition, _drift_config(config, selector), driftloop.SessionMode(mode)
     )
-    _emit_session_files(entry.name, selector, report, out_dir, state)
+    _emit_session_files(entry.name, selector, report, out_dir)
     return _table_row(entry.name, selector, report)
 
 
@@ -413,49 +406,27 @@ def emit_report(table: ExperimentTable, out_dir: Path) -> None:
 
 
 def _overrides_from_args(args) -> dict:
-    keys = (
-        "dataset", "format", "selector", "n", "rho", "c", "kernel", "gamma",
-        "mode", "seed", "output_dir", "train_fraction", "n_batches",
-        "chronological", "experiment", "fpr_trigger", "manifest", "test_path",
-        "synth_vocab", "synth_docs_per_phase", "synth_drift_point",
-        "synth_overlap",
-    )
-    return {key: getattr(args, key, None) for key in keys}
+    return {key: getattr(args, key, None) for key in _TYPES}
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="key = value configuration file")
-    parser.add_argument("--dataset")
-    parser.add_argument("--format", choices=FORMATS)
-    parser.add_argument("--selector", choices=features.SELECTORS)
-    parser.add_argument("--n", type=int)
-    parser.add_argument("--rho", type=float)
-    parser.add_argument("--c", type=float, dest="c")
-    parser.add_argument("--kernel", choices=KERNELS)
-    parser.add_argument("--gamma", type=float)
-    parser.add_argument("--mode", choices=MODES)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--output-dir", dest="output_dir")
-    parser.add_argument("--train-fraction", type=float, dest="train_fraction")
-    parser.add_argument("--n-batches", type=int, dest="n_batches")
-    parser.add_argument("--chronological", action="store_true", default=None)
-    parser.add_argument(
-        "--no-chronological", action="store_false", dest="chronological",
-        default=None,
-    )
-    parser.add_argument("--experiment", choices=EXPERIMENTS)
-    parser.add_argument(
-        "--fpr-trigger", choices=("prev_batch", "since_retrain"),
-        dest="fpr_trigger",
-    )
-    parser.add_argument("--manifest")
-    parser.add_argument("--test-path", dest="test_path")
-    parser.add_argument("--synth-vocab", type=int, dest="synth_vocab")
-    parser.add_argument(
-        "--synth-docs-per-phase", type=int, dest="synth_docs_per_phase"
-    )
-    parser.add_argument("--synth-drift-point", type=int, dest="synth_drift_point")
-    parser.add_argument("--synth-overlap", type=float, dest="synth_overlap")
+    _add_key_flags(parser, _TYPES)
+
+
+def _add_key_flags(parser: argparse.ArgumentParser, keys) -> None:
+    """One `--key-name` flag per configuration key; `--x`/`--no-x` for a bool."""
+    for key in keys:
+        flag = "--" + key.replace("_", "-")
+        if _TYPES[key] is bool:
+            parser.add_argument(flag, action="store_true", default=None)
+            parser.add_argument(
+                "--no-" + flag[2:], action="store_false", dest=key, default=None
+            )
+        elif key in _CHOICES:
+            parser.add_argument(flag, choices=_CHOICES[key])
+        else:
+            parser.add_argument(flag, type=_TYPES[key])
 
 
 def _cmd_run(args) -> int:
@@ -482,16 +453,8 @@ def _cmd_config(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    stream = corpus.synth_drift(
-        args.seed,
-        vocab_size=args.synth_vocab if args.synth_vocab is not None else 400,
-        docs_per_phase=(
-            args.synth_docs_per_phase
-            if args.synth_docs_per_phase is not None else 1000
-        ),
-        drift_point=args.synth_drift_point,
-        overlap=args.synth_overlap if args.synth_overlap is not None else 0.2,
-    )
+    config = parse_config(None, _overrides_from_args(args))
+    stream = _load_corpus(DatasetEntry("synth", "synth", None), config)
     corpus.write_enron_layout(stream, args.out)
     print(f"wrote {len(stream.documents)} documents to {args.out}")
     return 0
@@ -531,16 +494,9 @@ def build_parser() -> argparse.ArgumentParser:
     config_parser.set_defaults(func=_cmd_config)
 
     synth_parser = sub.add_parser("synth", help="emit a synthetic corpus")
-    synth_parser.add_argument("--seed", type=int, default=0)
+    _add_key_flags(synth_parser, ("seed",))
     synth_parser.add_argument("--out", required=True)
-    synth_parser.add_argument("--synth-vocab", type=int, dest="synth_vocab")
-    synth_parser.add_argument(
-        "--synth-docs-per-phase", type=int, dest="synth_docs_per_phase"
-    )
-    synth_parser.add_argument(
-        "--synth-drift-point", type=int, dest="synth_drift_point"
-    )
-    synth_parser.add_argument("--synth-overlap", type=float, dest="synth_overlap")
+    _add_key_flags(synth_parser, [k for k in _TYPES if k.startswith("synth_")])
     synth_parser.set_defaults(func=_cmd_synth)
 
     report_parser = sub.add_parser("report", help="re-render a saved session")

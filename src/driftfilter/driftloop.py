@@ -216,12 +216,14 @@ def incremental_retrain(
     trigger: TriggerDecision,
     violating_batch: LabeledCorpus,
     config: DriftConfig,
-) -> FilterState:
+) -> tuple[FilterState, int, int]:
     """Pass III: update the feature set and retrain on the retraining set.
 
-    The solver restarts cold on the (small) retraining set because the
-    feature space changes between generations, which invalidates previous
-    kernel values; the saving comes from the retraining set's size.
+    Returns the new state, the number of features replaced, and the size
+    of the retraining set. The solver restarts cold on the (small)
+    retraining set because the feature space changes between generations,
+    which invalidates previous kernel values; the saving comes from the
+    retraining set's size.
     """
     if not trigger.fired:
         raise DriftLoopError("incremental_retrain requires a fired trigger")
@@ -239,7 +241,7 @@ def incremental_retrain(
         "retrained at batch %d: generation %d, %d features replaced, %d documents",
         trigger.batch_index, state.generation + 1, replaced, len(rtrem),
     )
-    return FilterState(
+    new_state = FilterState(
         generation=state.generation + 1,
         feature_set=fs_new,
         model=model,
@@ -247,6 +249,7 @@ def incremental_retrain(
         misclassified=[],
         batch_history=list(state.batch_history),
     )
+    return new_state, replaced, len(rtrem)
 
 
 @dataclass(frozen=True)
@@ -373,13 +376,6 @@ def run_session(
     data and continuing with the next batch. A single-class retraining set
     halts the session gracefully, recorded in the report.
     """
-    return run_session_with_state(partition, config, mode)[0]
-
-
-def run_session_with_state(
-    partition: StreamPartition, config: DriftConfig, mode: SessionMode
-) -> tuple[SessionReport, FilterState]:
-    """run_session plus the final filter state, for checkpointing."""
     state = run_batch_phase(partition.training, config)
     records: list[BatchRecord] = []
     events: list[RetrainEvent] = []
@@ -408,29 +404,28 @@ def run_session_with_state(
                 state.batch_history[window_start:], config, batch_index=k
             )
             if decision.fired:
-                rtrem = build_retraining_set(state, batch)
-                previous_terms = set(state.feature_set.index)
                 try:
-                    state = incremental_retrain(state, decision, batch, config)
+                    state, replaced, retrain_size = incremental_retrain(
+                        state, decision, batch, config
+                    )
                 except SessionHalted as exc:
                     halted = str(exc)
                     logger.warning("session halted: %s", exc)
                     break
                 window_start = len(state.batch_history)
                 post_result, _ = evaluate_batch(state, batch)
-                replaced = len(set(state.feature_set.index) - previous_terms)
                 events.append(RetrainEvent(
                     batch_index=k,
                     generation=state.generation,
                     cause=decision.cause,
                     replaced_features=replaced,
-                    retrain_size=len(rtrem.documents),
+                    retrain_size=retrain_size,
                     cumulative_seen=seen,
                     pre_accuracy=result.accuracy,
                     post_accuracy=post_result.accuracy,
                 ))
     final = metrics.MetricsReport.from_confusion(cumulative)
-    report = SessionReport(
+    return SessionReport(
         mode=mode.value,
         selector=config.selector,
         batches=tuple(records),
@@ -442,47 +437,4 @@ def run_session_with_state(
         halted=halted,
         scores=tuple(all_scores),
         truths=tuple(all_truths),
-    )
-    return report, state
-
-
-def save_checkpoint(state: FilterState, path) -> None:
-    """Persist a filter state: features, model, and bookkeeping ids."""
-    payload = {
-        "format": "driftfilter-checkpoint-1",
-        "generation": state.generation,
-        "features": [[sf.term, sf.weight] for sf in state.feature_set.features],
-        "model": json.loads(svm.model_to_json(state.model)),
-        "misclassified_ids": [d.id for d in state.misclassified],
-        "sv_doc_ids": list(state.model.sv_doc_ids),
-        "batch_history": [list(entry) for entry in state.batch_history],
-    }
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        json.dump(payload, handle, sort_keys=True)
-        handle.write("\n")
-
-
-def load_checkpoint(path, documents_by_id: dict[str, Document]) -> FilterState:
-    """Rehydrate a filter state; documents are looked up by id."""
-    with open(path, encoding="utf-8") as handle:
-        payload = json.load(handle)
-    if payload.get("format") != "driftfilter-checkpoint-1":
-        raise DriftLoopError(
-            f"unrecognized checkpoint format: {payload.get('format')!r}"
-        )
-    fs = features.FeatureSet(tuple(
-        features.ScoredFeature(term, weight) for term, weight in payload["features"]
-    ))
-    model = svm.model_from_json(json.dumps(payload["model"]))
-    return FilterState(
-        generation=payload["generation"],
-        feature_set=fs,
-        model=model,
-        sv_documents=tuple(
-            documents_by_id[doc_id] for doc_id in payload["sv_doc_ids"]
-        ),
-        misclassified=[documents_by_id[i] for i in payload["misclassified_ids"]],
-        batch_history=[
-            (accuracy, fpr) for accuracy, fpr in payload["batch_history"]
-        ],
     )

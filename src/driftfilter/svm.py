@@ -40,14 +40,16 @@ class TrainConfig:
     max_passes: int = 10_000
 
     def __post_init__(self):
-        if self.C <= 0:
-            raise SvmError(f"C must be positive, got {self.C}")
+        if not 0.0 < self.C < math.inf:
+            raise SvmError(f"C must be finite and positive, got {self.C}")
         if self.kkt_tolerance <= 0 or self.alpha_epsilon <= 0:
             raise SvmError("tolerances must be positive")
         if self.kernel not in ("linear", "rbf"):
             raise SvmError(f"unsupported kernel: {self.kernel!r}")
-        if self.kernel == "rbf" and (self.gamma is None or self.gamma <= 0):
-            raise SvmError("rbf kernel requires positive gamma")
+        if self.kernel == "rbf" and (
+            self.gamma is None or not 0.0 < self.gamma < math.inf
+        ):
+            raise SvmError(f"rbf kernel requires a finite gamma > 0, got {self.gamma}")
 
 
 @dataclass(frozen=True)

@@ -156,7 +156,7 @@ def _replay_incremental(partition, config):
             rtrem = build_retraining_set(state, batch)
             terms_before = set(state.feature_set.index)
             dim_before = len(state.feature_set)
-            state = incremental_retrain(state, decision, batch, config)
+            state, _, _ = incremental_retrain(state, decision, batch, config)
             window_start = len(state.batch_history)
             terms_after = set(state.feature_set.index)
             events.append({
@@ -295,10 +295,15 @@ def test_criterion_8_determinism(tmp_path):
     import subprocess
     import sys
 
+    # The child processes import the same driftfilter as this one.
+    package_root = str(Path(cli.__file__).resolve().parents[1])
+    search_path = os.pathsep.join(
+        filter(None, (package_root, os.environ.get("PYTHONPATH")))
+    )
     outputs = []
     for run, hash_seed in (("first", "1"), ("second", "271828")):
         out = tmp_path / run
-        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=search_path)
         proc = subprocess.run(
             [sys.executable, "-m", "driftfilter.cli", "run",
              "--format", "synth", "--experiment", "2",

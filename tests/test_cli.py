@@ -1,12 +1,18 @@
 import csv
 import json
+import math
+import tempfile
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from driftfilter import cli, features
 from driftfilter.cli import (
-    CliError, build_partition, dump_config, parse_config, read_manifest,
-    run_experiment1, run_experiment2,
+    CliError, RunConfig, build_partition, dump_config, parse_config,
+    read_manifest, run_experiment1, run_experiment2,
 )
 from driftfilter.corpus import load_enron, synth_drift, write_enron_layout
 
@@ -49,8 +55,14 @@ class TestParseConfig:
             parse_config(None, {"rho": 1.2})
 
     def test_c_out_of_range(self):
-        with pytest.raises(CliError, match="c must be"):
-            parse_config(None, {"c": 0.0})
+        for c in (0.0, math.nan, math.inf):
+            with pytest.raises(CliError, match="c must be"):
+                parse_config(None, {"c": c})
+
+    def test_rbf_gamma_out_of_range(self):
+        for gamma in (None, 0.0, math.nan, math.inf):
+            with pytest.raises(CliError, match="gamma"):
+                parse_config(None, {"kernel": "rbf", "gamma": gamma})
 
     def test_n_out_of_range(self):
         with pytest.raises(CliError, match="n must be"):
@@ -73,6 +85,93 @@ class TestParseConfig:
         canonical.write_text(first, encoding="utf-8")
         second = dump_config(parse_config(canonical))
         assert first == second
+
+
+# Keys with a range check in RunConfig.validate; every other key is drawn
+# from its annotated type (or its choices), and str values are unfiltered,
+# so `#`, line breaks and surrounding whitespace all occur.
+_RANGED = {
+    "rho": st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    "c": st.floats(0.0, exclude_min=True, allow_infinity=False),
+    "gamma": st.none() | st.floats(0.0, exclude_min=True, allow_infinity=False),
+    "n": st.integers(min_value=1),
+    "train_fraction": st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    "n_batches": st.integers(min_value=1),
+    "synth_overlap": st.floats(0.0, 1.0),
+}
+_BY_TYPE = {
+    bool: st.booleans(),
+    int: st.integers(),
+    float: st.floats(allow_nan=False, allow_infinity=False),
+    str: st.text(),
+}
+
+
+def _key_strategy(f):
+    if f.name in _RANGED:
+        return _RANGED[f.name]
+    if f.name in cli._CHOICES:
+        base = st.sampled_from(cli._CHOICES[f.name])
+    else:
+        base = _BY_TYPE[cli._TYPES[f.name]]
+    return st.none() | base if f.default is None else base
+
+
+_CONFIGS = st.builds(
+    RunConfig, **{f.name: _key_strategy(f) for f in fields(RunConfig)}
+)
+
+
+def _valid(config: RunConfig) -> RunConfig:
+    assume(config.kernel != "rbf" or config.gamma is not None)
+    assume(config.format == "synth" or config.dataset or config.manifest)
+    return config.validate()
+
+
+def _unwritable(text: str) -> bool:
+    return "#" in text or "\n" in text or "\r" in text or text != text.strip()
+
+
+def _as_flags(config: RunConfig) -> list[str]:
+    argv = []
+    for f in fields(RunConfig):
+        value = getattr(config, f.name)
+        flag = "--" + f.name.replace("_", "-")
+        if value is None:
+            continue
+        if isinstance(value, bool):
+            argv.append(flag if value else "--no-" + flag[2:])
+        else:
+            text = repr(value) if isinstance(value, float) else str(value)
+            argv.append(f"{flag}={text}")
+    return argv
+
+
+class TestConfigSchema:
+    @settings(deadline=None)
+    @given(_CONFIGS)
+    def test_dump_then_read_gives_the_same_config(self, config):
+        config = _valid(config)
+        unwritable = [
+            f.name for f in fields(RunConfig)
+            if isinstance(getattr(config, f.name), str)
+            and _unwritable(getattr(config, f.name))
+        ]
+        if unwritable:
+            with pytest.raises(CliError, match=unwritable[0]):
+                dump_config(config)
+            return
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "run.conf"
+            path.write_text(dump_config(config), encoding="utf-8")
+            assert parse_config(path) == config
+
+    @settings(deadline=None)
+    @given(_CONFIGS)
+    def test_flags_give_the_same_config(self, config):
+        config = _valid(config)
+        args = cli.build_parser().parse_args(["run"] + _as_flags(config))
+        assert parse_config(args.config, cli._overrides_from_args(args)) == config
 
 
 class TestManifest:
@@ -267,11 +366,18 @@ class TestCliCommands:
         assert float(rows[0]["accuracy"]) == 1.0
 
     def test_error_exit_code_and_message(self, capsys):
-        code = cli.main(["run", "--format", "enron", "--dataset", "/nonexistent"])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:")
-        assert err.count("\n") == 1
+        for argv in (
+            ["run", "--format", "enron", "--dataset", "/nonexistent"],
+            ["run", "--c", "nan"],
+            ["run", "--c", "inf"],
+            ["run", "--kernel", "rbf", "--gamma", "nan"],
+            ["config", "dump", "--format", "enron", "--dataset", "/data/mail#2"],
+        ):
+            code = cli.main(argv)
+            assert code == 2, argv
+            err = capsys.readouterr().err
+            assert err.startswith("error:")
+            assert err.count("\n") == 1
 
     def test_unknown_config_key_error(self, capsys, tmp_path):
         path = tmp_path / "run.conf"

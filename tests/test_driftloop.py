@@ -1,5 +1,3 @@
-import json
-
 import pytest
 
 from driftfilter import driftloop, svm
@@ -9,8 +7,7 @@ from driftfilter.corpus import (
 from driftfilter.driftloop import (
     DriftConfig, DriftLoopError, FprTrigger, SessionHalted, SessionMode,
     TriggerCause, TriggerDecision, build_retraining_set, check_validation,
-    evaluate_batch, incremental_retrain, load_checkpoint, run_batch_phase,
-    run_session, save_checkpoint,
+    evaluate_batch, incremental_retrain, run_batch_phase, run_session,
 )
 
 from conftest import make_corpus, make_doc
@@ -90,14 +87,13 @@ class TestRunBatchPhase:
         assert len(state.model.alphas) <= 2
         assert len(state.sv_documents) == len(state.model.alphas)
 
-    def test_deterministic_states(self, tmp_path):
+    def test_deterministic_states(self):
         corpus_ = separable_corpus()
         a = run_batch_phase(corpus_, small_config(n=8))
         b = run_batch_phase(corpus_, small_config(n=8))
-        pa, pb = tmp_path / "a.json", tmp_path / "b.json"
-        save_checkpoint(a, pa)
-        save_checkpoint(b, pb)
-        assert pa.read_bytes() == pb.read_bytes()
+        assert a.feature_set == b.feature_set
+        assert svm.model_to_json(a.model) == svm.model_to_json(b.model)
+        assert a.sv_documents == b.sv_documents
 
     def test_sv_documents_match_model(self):
         state = run_batch_phase(separable_corpus(), small_config(n=8))
@@ -202,10 +198,12 @@ class TestIncrementalRetrain:
         state.misclassified.extend(misclassified)
         state.batch_history.append((result.accuracy, result.fpr))
         decision = TriggerDecision(True, TriggerCause.ACCURACY_BELOW_RHO, 2)
-        new_state = incremental_retrain(state, decision, batch, config)
+        new_state, replaced, _ = incremental_retrain(state, decision, batch, config)
         assert new_state.generation == state.generation + 1
         assert new_state.misclassified == []
         assert len(new_state.feature_set) == len(state.feature_set)
+        added = set(new_state.feature_set.index) - set(state.feature_set.index)
+        assert replaced == len(added)
 
     def test_post_retrain_improves_violating_batch(self):
         _, partition, config, state = self._drifted_setup()
@@ -214,7 +212,7 @@ class TestIncrementalRetrain:
         assert result.accuracy < 0.9  # the drift really bites
         state.misclassified.extend(misclassified)
         decision = TriggerDecision(True, TriggerCause.ACCURACY_BELOW_RHO, 2)
-        new_state = incremental_retrain(state, decision, batch, config)
+        new_state, _, _ = incremental_retrain(state, decision, batch, config)
         post, _ = evaluate_batch(new_state, batch)
         assert post.accuracy > result.accuracy
 
@@ -225,7 +223,8 @@ class TestIncrementalRetrain:
         state.misclassified.extend(misclassified)
         decision = TriggerDecision(True, TriggerCause.ACCURACY_BELOW_RHO, 2)
         rtrem = build_retraining_set(state, batch)
-        new_state = incremental_retrain(state, decision, batch, config)
+        new_state, _, retrain_size = incremental_retrain(state, decision, batch, config)
+        assert retrain_size == len(rtrem.documents)
         rtrem_ids = {d.id for d in rtrem.documents}
         assert {d.id for d in new_state.sv_documents} <= rtrem_ids
 
@@ -277,7 +276,7 @@ class TestRunSession:
                 state.batch_history[window_start:], config, k
             )
             if decision.fired:
-                state = incremental_retrain(state, decision, batch, config)
+                state, _, _ = incremental_retrain(state, decision, batch, config)
                 window_start = len(state.batch_history)
                 assert len(state.feature_set) == dim0
                 terms = [sf.term for sf in state.feature_set.features]
@@ -298,31 +297,6 @@ class TestRunSession:
         text = report.to_json()
         restored = driftloop.SessionReport.from_json(text)
         assert restored.to_json() == text
-
-
-class TestCheckpoint:
-    def test_round_trip(self, tmp_path):
-        corpus_ = separable_corpus()
-        state = run_batch_phase(corpus_, small_config(n=8))
-        state.misclassified.extend([corpus_.documents[0]])
-        state.batch_history.append((0.95, 0.01))
-        path = tmp_path / "state.json"
-        save_checkpoint(state, path)
-        by_id = {d.id: d for d in corpus_.documents}
-        restored = load_checkpoint(path, by_id)
-        assert restored.generation == state.generation
-        assert restored.feature_set == state.feature_set
-        assert svm.model_to_json(restored.model) == svm.model_to_json(state.model)
-        assert [d.id for d in restored.misclassified] == [
-            d.id for d in state.misclassified
-        ]
-        assert restored.batch_history == state.batch_history
-
-    def test_unknown_format(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"format": "nope"}), encoding="utf-8")
-        with pytest.raises(DriftLoopError, match="format"):
-            load_checkpoint(path, {})
 
 
 class TestDriftConfig:

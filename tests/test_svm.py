@@ -232,8 +232,12 @@ class TestErrors:
             predict(model, vec(1.0, tag="fs-b"))
 
     def test_config_validation(self):
-        with pytest.raises(SvmError):
-            TrainConfig(C=-1.0)
+        for c in (-1.0, math.nan, math.inf):
+            with pytest.raises(SvmError, match="C must be"):
+                TrainConfig(C=c)
+        for gamma in (math.nan, math.inf):
+            with pytest.raises(SvmError, match="gamma"):
+                TrainConfig(kernel="rbf", gamma=gamma)
         with pytest.raises(SvmError):
             TrainConfig(kernel="poly")
         with pytest.raises(SvmError):
