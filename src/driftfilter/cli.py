@@ -74,10 +74,10 @@ class RunConfig:
             )
         if self.n_batches < 1:
             raise CliError(f"n_batches must be >= 1, got {self.n_batches}")
-        if self.kernel == "rbf" and (
-            self.gamma is None or not 0.0 < self.gamma < math.inf
-        ):
-            raise CliError(f"kernel rbf requires a finite gamma > 0, got {self.gamma}")
+        if self.kernel == "rbf" and self.gamma is None:
+            raise CliError("kernel rbf requires a finite gamma > 0, got None")
+        if self.gamma is not None and not 0.0 < self.gamma < math.inf:
+            raise CliError(f"gamma must be finite and > 0, got {self.gamma}")
         if not 0.0 <= self.synth_overlap <= 1.0:
             raise CliError(f"synth_overlap must be in [0,1], got {self.synth_overlap}")
         if self.format != "synth" and not self.dataset and not self.manifest:
@@ -332,6 +332,7 @@ def _table_row(name: str, selector: str, report: driftloop.SessionReport) -> dic
 
 def _emit_session_files(name, selector, report, out_dir: Path) -> None:
     stem = f"{name}_{selector}_{report.mode}"
+    out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / f"{stem}.session.json").write_text(
         report.to_json() + "\n", encoding="utf-8"
     )
@@ -432,7 +433,6 @@ def _add_key_flags(parser: argparse.ArgumentParser, keys) -> None:
 def _cmd_run(args) -> int:
     config = parse_config(args.config, _overrides_from_args(args))
     out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     if config.experiment == "1":
         table = run_experiment1(config, out_dir)
     elif config.experiment == "2":

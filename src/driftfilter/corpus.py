@@ -121,15 +121,36 @@ def stem(token: str) -> str:
     return porter.stem(token)
 
 
+# Bound on the fixed-point memo: above one large corpus's distinct words plus
+# their intermediate stems, so a run never evicts, yet finite in a process
+# that loads corpus after corpus.
+_FIXPOINT_CACHE_SIZE = 1 << 16
+_fixpoints: dict[str, str] = {}
+
+
 def _stem_fixpoint(token: str) -> str:
     # A single Porter pass is not idempotent (agreed -> agre -> agr), so the
     # pipeline iterates to a fixed point; rewrites never grow the token, and
-    # the only length-preserving rule (y -> i) cannot cycle.
-    while True:
+    # the only length-preserving rule (y -> i) cannot cycle. Porter is
+    # deterministic, so every word on the chain is memoized: the confirming
+    # pass on a stem is shared by all the words that reach it. A loop, not
+    # recursion, because a chain can be as long as the token.
+    out = _fixpoints.get(token)
+    if out is not None:
+        return out
+    chain = []
+    while out is None:
+        chain.append(token)
         out = porter.stem(token)
         if out == token:
-            return out
+            break
         token = out
+        out = _fixpoints.get(token)
+    if len(_fixpoints) + len(chain) > _FIXPOINT_CACHE_SIZE:
+        _fixpoints.clear()
+    for word in chain:
+        _fixpoints[word] = out
+    return out
 
 
 def preprocess_text(raw_text: str, stoplist=None) -> list[str]:
@@ -351,6 +372,8 @@ def synth_drift(
     resembles legitimate mail to a model trained on phase 1. Labels
     alternate, keeping both phases balanced. Same seed, same corpus.
     """
+    if docs_per_phase < 1:
+        raise CorpusError(f"docs_per_phase must be >= 1, got {docs_per_phase}")
     if not 0.0 <= overlap <= 1.0:
         raise CorpusError(f"overlap must be in [0,1], got {overlap}")
     total = docs_per_phase * 2

@@ -12,6 +12,7 @@ import logging
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .corpus import LabeledCorpus, Document, Label
 
@@ -107,20 +108,12 @@ def count_stats(corpus: LabeledCorpus) -> CorpusCounts:
     n_legit = corpus.n_legit
     if n_spam + n_legit == 0:
         raise FeatureError("corpus has no labeled documents")
-    tf_spam: Counter[str] = Counter()
-    tf_legit: Counter[str] = Counter()
-    df_spam: Counter[str] = Counter()
-    df_legit: Counter[str] = Counter()
-    for doc in corpus.documents:
-        if doc.label is Label.SPAM:
-            tf, df = tf_spam, df_spam
-        elif doc.label is Label.LEGITIMATE:
-            tf, df = tf_legit, df_legit
-        else:
-            continue
-        occurrences = Counter(doc.tokens)
-        tf.update(occurrences)
-        df.update(occurrences.keys())
+    spam = [d.tokens for d in corpus.documents if d.label is Label.SPAM]
+    legit = [d.tokens for d in corpus.documents if d.label is Label.LEGITIMATE]
+    tf_spam = Counter(chain.from_iterable(spam))
+    tf_legit = Counter(chain.from_iterable(legit))
+    df_spam = Counter(chain.from_iterable(map(set, spam)))
+    df_legit = Counter(chain.from_iterable(map(set, legit)))
     counts = {}
     for term in set(tf_spam) | set(tf_legit):
         counts[term] = FeatureCounts(
@@ -271,11 +264,8 @@ def vectorize(doc: Document, fs: FeatureSet) -> SparseVector:
     """
     if not fs.features:
         raise FeatureError("cannot vectorize against an empty feature set")
-    counts: Counter[int] = Counter()
-    for token in doc.tokens:
-        position = fs.index.get(token)
-        if position is not None:
-            counts[position] += 1
+    index = fs.index
+    counts = Counter(map(index.get, filter(index.__contains__, doc.tokens)))
     if not counts:
         return SparseVector((), fs.tag)
     norm = math.sqrt(sum(c * c for c in counts.values()))

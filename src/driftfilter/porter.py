@@ -125,29 +125,51 @@ _STEP4_SUFFIXES = (
 )
 
 
+def _rule_table(rules):
+    """Rules bucketed by the last letter of their suffix, in their given order.
+
+    Only suffixes ending in a word's last letter can match it, so the first
+    match within that bucket is the first match of the whole tuple.
+    """
+    table = {}
+    for rule in rules:
+        table.setdefault(rule[0][-1], []).append(rule)
+    return {last: tuple(bucket) for last, bucket in table.items()}
+
+
+_STEP2_TABLE = _rule_table(_STEP2_RULES)
+_STEP3_TABLE = _rule_table(_STEP3_RULES)
+_STEP4_TABLE = _rule_table((suffix, "") for suffix in _STEP4_SUFFIXES)
+
+
+def _first_rule(table, word: str):
+    """The first (suffix, replacement) rule of `table` that `word` ends with."""
+    for rule in table.get(word[-1:], ()):
+        if word.endswith(rule[0]):
+            return rule
+    return None
+
+
 def _step2(word: str) -> str:
-    for suffix, replacement in _STEP2_RULES:
-        if word.endswith(suffix):
-            return _replace_if(word, suffix, replacement, 0)
-    return word
+    rule = _first_rule(_STEP2_TABLE, word)
+    return word if rule is None else _replace_if(word, *rule, 0)
 
 
 def _step3(word: str) -> str:
-    for suffix, replacement in _STEP3_RULES:
-        if word.endswith(suffix):
-            return _replace_if(word, suffix, replacement, 0)
-    return word
+    rule = _first_rule(_STEP3_TABLE, word)
+    return word if rule is None else _replace_if(word, *rule, 0)
 
 
 def _step4(word: str) -> str:
-    for suffix in _STEP4_SUFFIXES:
-        if word.endswith(suffix):
-            stem = word[: len(word) - len(suffix)]
-            if suffix == "ion" and (not stem or stem[-1] not in "st"):
-                return word
-            if _measure(stem) > 1:
-                return stem
-            return word
+    rule = _first_rule(_STEP4_TABLE, word)
+    if rule is None:
+        return word
+    suffix = rule[0]
+    stem = word[: len(word) - len(suffix)]
+    if suffix == "ion" and (not stem or stem[-1] not in "st"):
+        return word
+    if _measure(stem) > 1:
+        return stem
     return word
 
 

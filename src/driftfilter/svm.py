@@ -46,10 +46,10 @@ class TrainConfig:
             raise SvmError("tolerances must be positive")
         if self.kernel not in ("linear", "rbf"):
             raise SvmError(f"unsupported kernel: {self.kernel!r}")
-        if self.kernel == "rbf" and (
-            self.gamma is None or not 0.0 < self.gamma < math.inf
-        ):
-            raise SvmError(f"rbf kernel requires a finite gamma > 0, got {self.gamma}")
+        if self.kernel == "rbf" and self.gamma is None:
+            raise SvmError("rbf kernel requires a finite gamma > 0, got None")
+        if self.gamma is not None and not 0.0 < self.gamma < math.inf:
+            raise SvmError(f"gamma must be finite and positive, got {self.gamma}")
 
 
 @dataclass(frozen=True)

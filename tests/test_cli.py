@@ -365,19 +365,28 @@ class TestCliCommands:
         assert rows[0]["dataset"] == "pu"
         assert float(rows[0]["accuracy"]) == 1.0
 
-    def test_error_exit_code_and_message(self, capsys):
-        for argv in (
-            ["run", "--format", "enron", "--dataset", "/nonexistent"],
-            ["run", "--c", "nan"],
-            ["run", "--c", "inf"],
-            ["run", "--kernel", "rbf", "--gamma", "nan"],
-            ["config", "dump", "--format", "enron", "--dataset", "/data/mail#2"],
+    def test_error_exit_code_and_message(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        for argv, named in (
+            (["run", "--format", "enron", "--dataset", "/nonexistent"], "/nonexistent"),
+            (["run", "--c", "nan"], "c must be"),
+            (["run", "--c", "inf"], "c must be"),
+            (["run", "--kernel", "rbf", "--gamma", "nan"], "gamma"),
+            (["config", "dump", "--gamma", "nan"], "gamma"),
+            (["config", "dump", "--gamma", "inf"], "gamma"),
+            (["config", "dump", "--format", "enron", "--dataset", "/data/mail#2"],
+             "dataset"),
+            (["run", "--format", "synth", "--synth-docs-per-phase", "0"],
+             "docs_per_phase"),
         ):
             code = cli.main(argv)
             assert code == 2, argv
             err = capsys.readouterr().err
             assert err.startswith("error:")
             assert err.count("\n") == 1
+            assert named in err, argv
+        # A run that fails before its first result leaves no output directory.
+        assert list(tmp_path.iterdir()) == []
 
     def test_unknown_config_key_error(self, capsys, tmp_path):
         path = tmp_path / "run.conf"

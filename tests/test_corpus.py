@@ -1,9 +1,12 @@
 import math
 import random
+import string
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from driftfilter import corpus
+from driftfilter import corpus, porter
 from driftfilter.corpus import (
     CorpusError, Document, Label, LabeledCorpus, load_ecml, load_enron,
     load_pu, partition_stream, preprocess_text, remove_stopwords, stem,
@@ -61,6 +64,44 @@ class TestStem:
         assert stem("caresses") == "caress"
         assert stem("ponies") == "poni"
         assert stem("cat") == "cat"
+
+
+def _fixpoint_by_loop(word):
+    while (out := porter.stem(word)) != word:
+        word = out
+    return out
+
+
+class TestStemFixpoint:
+    @given(st.text(alphabet=string.ascii_lowercase, min_size=1, max_size=16))
+    def test_memo_matches_loop_warm_and_cold(self, word):
+        expected = _fixpoint_by_loop(word)
+        corpus._stem_fixpoint(word)
+        assert corpus._stem_fixpoint(word) == expected
+        corpus._fixpoints.clear()
+        assert corpus._stem_fixpoint(word) == expected
+
+    def test_shared_chain_is_memoized(self):
+        corpus._fixpoints.clear()
+        assert corpus._stem_fixpoint("agreed") == "agr"
+        assert corpus._fixpoints == {"agreed": "agr", "agre": "agr", "agr": "agr"}
+
+    def test_long_chain_without_recursion(self):
+        word = "b" + "ed" * 3000
+        corpus._fixpoints.clear()
+        assert corpus._stem_fixpoint(word) == _fixpoint_by_loop(word)
+        # One Porter pass strips one "ed": the chain is far deeper than the
+        # interpreter's recursion limit.
+        assert len(corpus._fixpoints) > 2000
+
+    def test_memo_stays_bounded(self, monkeypatch):
+        monkeypatch.setattr(corpus, "_FIXPOINT_CACHE_SIZE", 8)
+        corpus._fixpoints.clear()
+        words = [f"{root}{suffix}" for root in ("walk", "agre", "hop", "rel")
+                 for suffix in ("ed", "ing", "ational", "s")]
+        for word in words + words:
+            assert corpus._stem_fixpoint(word) == _fixpoint_by_loop(word)
+            assert len(corpus._fixpoints) <= 8
 
 
 class TestPreprocess:

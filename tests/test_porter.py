@@ -1,3 +1,4 @@
+from driftfilter import porter
 from driftfilter.porter import stem
 
 # Hand-verified against the published algorithm's rule examples,
@@ -61,7 +62,35 @@ REFERENCE = [
     ("controll", "control"),
     ("roll", "roll"),
     ("digitizer", "digit"),
+    ("valenci", "valenc"),
+    ("hesitanci", "hesit"),
+    ("radicalli", "radic"),
+    ("differentli", "differ"),
+    ("vileli", "vile"),
+    ("sensibiliti", "sensibl"),
+    ("formaliti", "formal"),
+    ("sensitiviti", "sensit"),
+    ("conformabli", "conform"),
+    ("triplicate", "triplic"),
+    ("formative", "form"),
+    ("formalize", "formal"),
+    ("gyroscopic", "gyroscop"),
+    ("homologou", "homolog"),
+    ("homologous", "homolog"),
+    ("angulariti", "angular"),
 ]
+
+# Each step's rule table beside the tuple it is built from.
+STEP_TABLES = (
+    (porter._STEP2_TABLE, porter._STEP2_RULES),
+    (porter._STEP3_TABLE, porter._STEP3_RULES),
+    (porter._STEP4_TABLE, tuple((suffix, "") for suffix in porter._STEP4_SUFFIXES)),
+)
+ALL_SUFFIXES = sorted({rule[0] for _, rules in STEP_TABLES for rule in rules})
+
+
+def _first_rule_by_scan(rules, word):
+    return next((rule for rule in rules if word.endswith(rule[0])), None)
 
 
 def test_reference_vectors():
@@ -78,3 +107,14 @@ def test_stem_is_lowercase_alpha_safe():
     # Digit-bearing tokens pass through untouched (no suffix rules match).
     assert stem("sp0042") == "sp0042"
     assert stem("x99") == "x99"
+
+
+def test_bucketed_lookup_matches_linear_scan_on_rule_suffixes():
+    for base in ("", "x", "rel", "conform", "sensibil", "ational"):
+        for suffix in ALL_SUFFIXES:
+            word = base + suffix
+            for table, rules in STEP_TABLES:
+                assert porter._first_rule(table, word) == _first_rule_by_scan(
+                    rules, word
+                ), word
+

@@ -235,9 +235,10 @@ class TestErrors:
         for c in (-1.0, math.nan, math.inf):
             with pytest.raises(SvmError, match="C must be"):
                 TrainConfig(C=c)
-        for gamma in (math.nan, math.inf):
-            with pytest.raises(SvmError, match="gamma"):
-                TrainConfig(kernel="rbf", gamma=gamma)
+        for kernel in ("rbf", "linear"):
+            for gamma in (math.nan, math.inf, 0.0, -1.0):
+                with pytest.raises(SvmError, match="gamma"):
+                    TrainConfig(kernel=kernel, gamma=gamma)
         with pytest.raises(SvmError):
             TrainConfig(kernel="poly")
         with pytest.raises(SvmError):
