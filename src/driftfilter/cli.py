@@ -374,11 +374,12 @@ def run_experiment2(config: RunConfig, out_dir: Path) -> ExperimentTable:
     rows = []
     for entry in _dataset_entries(config):
         partition = build_partition(entry, config)
+        drift_config = _drift_config(config)
+        # Pass I is deterministic, so both modes start from one solve.
+        state = driftloop.run_batch_phase(partition.training, drift_config)
         reports = {}
         for mode in (driftloop.SessionMode.BATCH, driftloop.SessionMode.INCREMENTAL):
-            report = driftloop.run_session(
-                partition, _drift_config(config), mode
-            )
+            report = driftloop.run_session(partition, drift_config, mode, state)
             reports[mode] = report
             _emit_session_files(entry.name, config.selector, report, out_dir)
             rows.append(_table_row(entry.name, config.selector, report))

@@ -15,8 +15,7 @@ from . import porter
 
 logger = logging.getLogger(__name__)
 
-_TOKEN_SPLIT = re.compile(r"[^a-z0-9]+")
-_ALL_DIGITS = re.compile(r"^[0-9]+$")
+_TOKEN = re.compile(r"[a-z0-9]{2,}")
 
 # Per-document token count used by the synthetic generator; spam documents
 # draw half their tokens from the legitimate pool so that a vocabulary shift
@@ -105,8 +104,7 @@ def tokenize(raw_text: str) -> list[str]:
     Pure-digit tokens and tokens shorter than two characters are dropped.
     Empty input yields an empty list.
     """
-    tokens = _TOKEN_SPLIT.split(raw_text.lower())
-    return [t for t in tokens if len(t) >= 2 and not _ALL_DIGITS.match(t)]
+    return [t for t in _TOKEN.findall(raw_text.lower()) if not t.isdigit()]
 
 
 def remove_stopwords(tokens, stoplist=None) -> list[str]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 from . import features, metrics, svm
@@ -367,7 +367,10 @@ def _mean_or_none(values) -> float | None:
 
 
 def run_session(
-    partition: StreamPartition, config: DriftConfig, mode: SessionMode
+    partition: StreamPartition,
+    config: DriftConfig,
+    mode: SessionMode,
+    state: FilterState | None = None,
 ) -> SessionReport:
     """Run one full session: Pass I, then the test stream.
 
@@ -375,8 +378,15 @@ def run_session(
     retrains whenever one fires, consuming the violating batch as training
     data and continuing with the next batch. A single-class retraining set
     halts the session gracefully, recorded in the report.
+
+    `state`, when given, is the Pass-I result of `run_batch_phase` on this
+    partition's training set and config; sessions that share it each start
+    with empty misclassified and batch-history lists.
     """
-    state = run_batch_phase(partition.training, config)
+    if state is None:
+        state = run_batch_phase(partition.training, config)
+    else:
+        state = replace(state, misclassified=[], batch_history=[])
     records: list[BatchRecord] = []
     events: list[RetrainEvent] = []
     all_scores: list[float] = []

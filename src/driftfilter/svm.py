@@ -1,11 +1,13 @@
 """Soft-margin SVM trained by sequential minimal optimization.
 
-The trainer jointly optimizes two Lagrange multipliers per step (second
-choice by largest error difference, with deterministic sweep fallbacks),
-keeps the box constraints and the equality constraint exact by
-construction, and stops once a full pass over the data changes nothing.
-Kernel rows are served from a precomputed Gram matrix for small problems
-and an LRU row cache for large ones.
+Each step optimizes two Lagrange multipliers jointly, chosen by the
+second-order working-set selection of Fan, Chen & Lin (JMLR 6, 2005): the
+maximal violator `i`, then the partner `j` with the largest guaranteed
+gain of the dual objective. The solver stops once the gap between the
+largest and smallest admissible bias falls below the tolerance (Keerthi
+et al., Neural Computation 13, 2001). Box and equality constraints stay
+exact by construction. Kernel rows are computed from each example's
+nonzero columns and kept in an LRU cache.
 """
 
 from __future__ import annotations
@@ -22,8 +24,7 @@ from .features import SparseVector
 
 logger = logging.getLogger(__name__)
 
-_GRAM_LIMIT = 2048  # precompute the full Gram matrix up to this many examples
-_STEP_EPS = 1e-10   # minimum relative multiplier movement that counts as progress
+_TAU = 1e-12  # curvature floor for a pair with K_ii + K_jj - 2 K_ij <= 0
 
 
 class SvmError(Exception):
@@ -97,58 +98,57 @@ def _sparse_dot(x: SparseVector, y: SparseVector) -> float:
     return total
 
 
+def _rbf(gamma: float, sq_x, sq_y, dot):
+    """exp(-gamma * ||x - y||^2) from the squared norms and the dot product."""
+    return np.exp(-gamma * (sq_x + sq_y - 2.0 * dot))
+
+
 def kernel_eval(config: TrainConfig, x: SparseVector, y: SparseVector) -> float:
     """Kernel value between two sparse vectors."""
     dot = _sparse_dot(x, y)
     if config.kernel == "linear":
         return dot
-    sq = sum(w * w for _, w in x.entries) + sum(w * w for _, w in y.entries)
-    return math.exp(-config.gamma * (sq - 2.0 * dot))
+    sq_x = sum(w * w for _, w in x.entries)
+    sq_y = sum(w * w for _, w in y.entries)
+    return float(_rbf(config.gamma, sq_x, sq_y, dot))
 
 
-def _to_dense(vectors, dim: int) -> np.ndarray:
-    X = np.zeros((len(vectors), dim))
-    for i, vec in enumerate(vectors):
-        for position, weight in vec.entries:
-            X[i, position] = weight
-    return X
+def _flat_entries(vectors) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(owner, position, weight) arrays over every entry, in vector order."""
+    lengths = [len(vec.entries) for vec in vectors]
+    owner = np.repeat(np.arange(len(lengths)), lengths)
+    flat = [entry for vec in vectors for entry in vec.entries]
+    position = np.fromiter((p for p, _ in flat), dtype=np.intp, count=len(flat))
+    weight = np.fromiter((w for _, w in flat), dtype=float, count=len(flat))
+    return owner, position, weight
 
 
 class _KernelTable:
-    """Gram rows for training: full matrix when small, LRU rows when large."""
+    """Training kernel rows in an LRU cache, each computed from one
+    example's nonzero columns against a column-major copy of the data."""
 
-    def __init__(self, X: np.ndarray, config: TrainConfig):
-        self.X = X
+    def __init__(self, vectors, dim: int, config: TrainConfig):
+        n = len(vectors)
+        owner, position, weight = _flat_entries(vectors)
+        self.XT = np.zeros((dim, n))
+        self.XT[position, owner] = weight
+        bounds = np.cumsum([len(vec.entries) for vec in vectors])[:-1]
+        self.cols = np.split(position, bounds)
+        self.vals = np.split(weight, bounds)
         self.config = config
-        self.sq = np.einsum("ij,ij->i", X, X)
-        n = X.shape[0]
-        self.full: np.ndarray | None = None
+        self.sq = np.bincount(owner, weights=weight * weight, minlength=n)
+        self.diag = np.ones(n) if config.kernel == "rbf" else self.sq
         self.cache: OrderedDict[int, np.ndarray] = OrderedDict()
-        if n <= _GRAM_LIMIT:
-            gram = X @ X.T
-            if config.kernel == "rbf":
-                gram = np.exp(
-                    -config.gamma * (self.sq[:, None] + self.sq[None, :] - 2 * gram)
-                )
-            self.full = gram
-        else:
-            # Keep roughly 256 MB of rows.
-            self.limit = max(16, (1 << 25) // n)
-        if config.kernel == "rbf":
-            self.diag = np.ones(n)
-        else:
-            self.diag = self.sq
+        self.limit = max(16, (1 << 25) // n)  # roughly 256 MB of rows
 
     def row(self, i: int) -> np.ndarray:
-        if self.full is not None:
-            return self.full[i]
         row = self.cache.get(i)
         if row is not None:
             self.cache.move_to_end(i)
             return row
-        row = self.X @ self.X[i]
+        row = self.vals[i] @ self.XT[self.cols[i]]
         if self.config.kernel == "rbf":
-            row = np.exp(-self.config.gamma * (self.sq + self.sq[i] - 2 * row))
+            row = _rbf(self.config.gamma, self.sq, self.sq[i], row)
         if len(self.cache) >= self.limit:
             self.cache.popitem(last=False)
         self.cache[i] = row
@@ -156,188 +156,82 @@ class _KernelTable:
 
 
 class _SmoSolver:
-    def __init__(self, X, y, config: TrainConfig):
+    """Second-order working-set SMO.
+
+    `score[t] = y_t - u_t`, with `u` the decision value without bias, is
+    minus `y_t` times the gradient of the dual objective, and the bias that
+    would put example t exactly on the margin. I_up holds the examples whose
+    multiplier may move in the direction of their label (y=+1 below C, or
+    y=-1 above 0), I_low those that may move against it. The KKT conditions
+    hold within the tolerance once max(score over I_up) - min(score over
+    I_low) drops below it and the bias lies between the two.
+    """
+
+    def __init__(self, kernel: _KernelTable, y: np.ndarray, config: TrainConfig):
         self.config = config
-        self.n = X.shape[0]
+        self.kernel = kernel
         self.y = y
-        self.kernel = _KernelTable(X, config)
+        self.n = len(y)
         self.alpha = np.zeros(self.n)
-        self.bias = 0.0
-        self.errors = -y.astype(float)  # f(x) = 0 everywhere at the start
+        self.score = y.copy()  # u = 0 everywhere at the start
         self.objective = 0.0
-
-    def _objective_at(self, i1, i2, a1, a2, k11, k12, k22, v1, v2):
-        # Dual objective restricted to the pair, dropping terms constant in it.
-        y1, y2 = self.y[i1], self.y[i2]
-        return (
-            a1 + a2
-            - 0.5 * k11 * a1 * a1
-            - 0.5 * k22 * a2 * a2
-            - y1 * y2 * k12 * a1 * a2
-            - y1 * a1 * v1
-            - y2 * a2 * v2
-        )
-
-    def take_step(self, i1: int, i2: int) -> bool:
-        if i1 == i2:
-            return False
-        C = self.config.C
-        a1, a2 = self.alpha[i1], self.alpha[i2]
-        y1, y2 = self.y[i1], self.y[i2]
-        E1, E2 = self.errors[i1], self.errors[i2]
-        s = y1 * y2
-        if s > 0:
-            L, H = max(0.0, a1 + a2 - C), min(C, a1 + a2)
-        else:
-            L, H = max(0.0, a2 - a1), min(C, C + a2 - a1)
-        if L >= H:
-            return False
-        row1 = self.kernel.row(i1)
-        row2 = self.kernel.row(i2)
-        k11, k22 = self.kernel.diag[i1], self.kernel.diag[i2]
-        k12 = row1[i2]
-        eta = k11 + k22 - 2.0 * k12
-        # u_i excludes the bias; needed for end-point objective evaluation.
-        u1 = E1 - self.bias + y1
-        u2 = E2 - self.bias + y2
-        if eta > 0:
-            a2_new = a2 + y2 * (E1 - E2) / eta
-            a2_new = min(max(a2_new, L), H)
-        else:
-            v1 = u1 - y1 * a1 * k11 - y2 * a2 * k12
-            v2 = u2 - y1 * a1 * k12 - y2 * a2 * k22
-            obj_l = self._objective_at(
-                i1, i2, a1 + s * (a2 - L), L, k11, k12, k22, v1, v2
-            )
-            obj_h = self._objective_at(
-                i1, i2, a1 + s * (a2 - H), H, k11, k12, k22, v1, v2
-            )
-            if obj_l > obj_h + _STEP_EPS:
-                a2_new = L
-            elif obj_h > obj_l + _STEP_EPS:
-                a2_new = H
-            else:
-                a2_new = a2
-        if abs(a2_new - a2) < _STEP_EPS * (a2_new + a2 + _STEP_EPS):
-            return False
-        a1_new = a1 + s * (a2 - a2_new)
-        a1_new = min(max(a1_new, 0.0), C)
-
-        d1 = y1 * (a1_new - a1)
-        d2 = y2 * (a2_new - a2)
-        delta_obj = (
-            (a1_new - a1) + (a2_new - a2)
-            - d1 * u1 - d2 * u2
-            - 0.5 * (d1 * d1 * k11 + d2 * d2 * k22 + 2.0 * d1 * d2 * k12)
-        )
-        if delta_obj < -1e-9 * max(1.0, abs(self.objective)):
-            raise SvmError(
-                f"dual objective decreased by {delta_obj} at step ({i1},{i2})"
-            )
-        self.objective += delta_obj
-
-        b1 = self.bias - E1 - d1 * k11 - d2 * k12
-        b2 = self.bias - E2 - d1 * k12 - d2 * k22
-        if 0.0 < a1_new < C:
-            b_new = b1
-        elif 0.0 < a2_new < C:
-            b_new = b2
-        else:
-            b_new = (b1 + b2) / 2.0
-        self.errors += d1 * row1 + d2 * row2 + (b_new - self.bias)
-        self.alpha[i1] = a1_new
-        self.alpha[i2] = a2_new
-        self.bias = b_new
-        return True
-
-    def _non_bound(self) -> np.ndarray:
-        eps = self.config.alpha_epsilon
-        return np.nonzero(
-            (self.alpha > eps) & (self.alpha < self.config.C - eps)
-        )[0]
-
-    def _rotated(self, indices: np.ndarray, start: int) -> np.ndarray:
-        pos = int(np.searchsorted(indices, start))
-        return np.concatenate((indices[pos:], indices[:pos]))
-
-    def examine(self, i2: int) -> int:
-        y2 = self.y[i2]
-        a2 = self.alpha[i2]
-        E2 = self.errors[i2]
-        r2 = E2 * y2
-        tol = self.config.kkt_tolerance
-        C = self.config.C
-        if not ((r2 < -tol and a2 < C) or (r2 > tol and a2 > 0)):
-            return 0
-        non_bound = self._non_bound()
-        if len(non_bound) > 1:
-            i1 = int(non_bound[np.argmax(np.abs(self.errors[non_bound] - E2))])
-            if self.take_step(i1, i2):
-                return 1
-        start = (i2 + 1) % self.n
-        for i1 in self._rotated(non_bound, start):
-            if self.take_step(int(i1), i2):
-                return 1
-        for i1 in self._rotated(np.arange(self.n), start):
-            if self.take_step(int(i1), i2):
-                return 1
-        return 0
+        self.bias = 0.0
 
     def solve(self) -> tuple[bool, int]:
-        examine_all = True
-        passes = 0
-        while passes < self.config.max_passes:
-            passes += 1
-            if examine_all:
-                targets = range(self.n)
-            else:
-                targets = self._non_bound()
-            changed = 0
-            for i in targets:
-                changed += self.examine(int(i))
-            if examine_all:
-                if changed == 0:
-                    self._finalize_bias()
-                    return True, passes
-                examine_all = False
-            elif changed == 0:
-                examine_all = True
-        self._finalize_bias()
-        return False, passes
-
-    def _finalize_bias(self):
-        # The running bias comes from the last joint step; when every support
-        # vector sits at the box bound it can fall outside the interval the
-        # KKT conditions allow. Recompute it from that interval: the mean
-        # over free support vectors when any exist, else the midpoint.
-        eps = self.config.alpha_epsilon
+        """Run pair steps until the gap closes or max_passes * n steps are
+        taken; returns (converged, passes) with one pass = n steps."""
         C = self.config.C
-        u = self.errors - self.bias + self.y  # decision values without bias
-        on_margin_bias = self.y - u
-        free = (self.alpha > eps) & (self.alpha < C - eps)
-        if free.any():
-            self.bias = float(on_margin_bias[free].mean())
-            return
-        at_zero = self.alpha <= eps
-        at_c = self.alpha >= C - eps
-        lower = (at_zero & (self.y > 0)) | (at_c & (self.y < 0))
-        upper = (at_zero & (self.y < 0)) | (at_c & (self.y > 0))
-        b_lo = float(on_margin_bias[lower].max()) if lower.any() else None
-        b_hi = float(on_margin_bias[upper].min()) if upper.any() else None
-        if b_lo is not None and b_hi is not None:
-            self.bias = (b_lo + b_hi) / 2.0
-        elif b_lo is not None:
-            self.bias = b_lo
-        elif b_hi is not None:
-            self.bias = b_hi
+        y, alpha, score, diag = self.y, self.alpha, self.score, self.kernel.diag
+        up = y > 0
+        low = ~up
+        cap = self.config.max_passes * self.n
+        steps = 0
+        while True:
+            up_scores = np.where(up, score, -np.inf)
+            i = int(up_scores.argmax())
+            m = up_scores[i]
+            low_scores = np.where(low, score, np.inf)
+            M = low_scores.min()
+            converged = m - M < self.config.kkt_tolerance
+            if converged or steps >= cap:
+                break
+            row_i = self.kernel.row(i)
+            gain = m - low_scores
+            curvature = diag[i] + diag - 2.0 * row_i
+            curvature[curvature <= 0.0] = _TAU
+            j = int(np.where(gain > 0.0, gain * gain / curvature, -np.inf).argmax())
+            self._step(i, j, row_i, m - score[j], diag[i] + diag[j] - 2.0 * row_i[j])
+            for t in (i, j):
+                up[t] = alpha[t] < C if y[t] > 0 else alpha[t] > 0.0
+                low[t] = alpha[t] > 0.0 if y[t] > 0 else alpha[t] < C
+            steps += 1
+        free = (alpha > 0.0) & (alpha < C)
+        self.bias = float(score[free].mean()) if free.any() else float(m + M) / 2.0
+        return bool(converged), -(-steps // self.n)
+
+    def _step(self, i: int, j: int, row_i: np.ndarray, b: float, a: float) -> None:
+        """Move alpha along (+y_i, -y_j) as far as the dual objective rises."""
+        C = self.config.C
+        y, alpha = self.y, self.alpha
+        room_i = C - alpha[i] if y[i] > 0 else alpha[i]
+        room_j = alpha[j] if y[j] > 0 else C - alpha[j]
+        t = min(b / (a if a > 0.0 else _TAU), room_i, room_j)
+        delta_obj = t * b - 0.5 * a * t * t
+        if delta_obj < -1e-9 * max(1.0, abs(self.objective)):
+            raise SvmError(f"dual objective decreased by {delta_obj} at step ({i},{j})")
+        self.objective += delta_obj
+        # A multiplier that reaches its bound is put exactly on it.
+        alpha[i] = (C if y[i] > 0 else 0.0) if t == room_i else alpha[i] + y[i] * t
+        alpha[j] = (0.0 if y[j] > 0 else C) if t == room_j else alpha[j] - y[j] * t
+        self.score -= t * (row_i - self.kernel.row(j))
 
 
 def train_smo(vectors, labels, config: TrainConfig, doc_ids=None) -> SvmModel:
     """Train on sparse vectors with +1/-1 labels.
 
     Raises for empty or single-class input. The returned model reports
-    whether training converged (a full pass with zero multiplier changes)
-    or hit max_passes.
+    whether training converged (the bias gap closed below kkt_tolerance)
+    or hit max_passes * len(vectors) pair steps.
     """
     vectors = list(vectors)
     labels = list(labels)
@@ -364,9 +258,8 @@ def train_smo(vectors, labels, config: TrainConfig, doc_ids=None) -> SvmModel:
     for vec in vectors:
         if vec.entries:
             dim = max(dim, vec.entries[-1][0] + 1)
-    X = _to_dense(vectors, dim)
     y = np.array(labels, dtype=float)
-    solver = _SmoSolver(X, y, config)
+    solver = _SmoSolver(_KernelTable(vectors, dim, config), y, config)
     converged, passes = solver.solve()
     if not converged:
         logger.warning("SMO hit max_passes=%d before converging", config.max_passes)
@@ -387,14 +280,16 @@ def train_smo(vectors, labels, config: TrainConfig, doc_ids=None) -> SvmModel:
     )
 
 
-def predict(model: SvmModel, x: SparseVector) -> Prediction:
-    """Signed decision value and label for one vector."""
-    if (
-        model.feature_tag is not None
-        and x.feature_tag is not None
-        and model.feature_tag != x.feature_tag
+def _check_tags(model: SvmModel, vectors) -> None:
+    if model.feature_tag is not None and any(
+        vec.feature_tag not in (None, model.feature_tag) for vec in vectors
     ):
         raise SvmError("vector was built against a different feature set")
+
+
+def predict(model: SvmModel, x: SparseVector) -> Prediction:
+    """Signed decision value and label for one vector."""
+    _check_tags(model, (x,))
     score = model.bias
     for alpha, label, sv in zip(model.alphas, model.sv_labels, model.sv_vectors):
         score += alpha * label * kernel_eval(model.config, x, sv)
@@ -405,32 +300,25 @@ def weight_vector(model: SvmModel) -> np.ndarray:
     """Explicit normal vector of the separating plane (linear kernel only)."""
     if model.config.kernel != "linear":
         raise SvmError("weight_vector is defined for the linear kernel only")
-    w = np.zeros(model.dim)
-    for alpha, label, sv in zip(model.alphas, model.sv_labels, model.sv_vectors):
-        for position, weight in sv.entries:
-            w[position] += alpha * label * weight
-    return w
+    owner, position, weight = _flat_entries(model.sv_vectors)
+    coef = np.array(model.alphas, dtype=float) * np.array(model.sv_labels)
+    return np.bincount(position, weights=coef[owner] * weight, minlength=model.dim)
 
 
 def decision_scores(model: SvmModel, vectors) -> list[float]:
     """Decision values for many vectors; linear models use the weight vector."""
-    if model.config.kernel == "linear":
-        w = weight_vector(model)
-        scores = []
-        for vec in vectors:
-            if (
-                model.feature_tag is not None
-                and vec.feature_tag is not None
-                and model.feature_tag != vec.feature_tag
-            ):
-                raise SvmError("vector was built against a different feature set")
-            total = model.bias
-            for position, weight in vec.entries:
-                if position < model.dim:
-                    total += w[position] * weight
-            scores.append(total)
-        return scores
-    return [predict(model, vec).score for vec in vectors]
+    vectors = list(vectors)
+    _check_tags(model, vectors)
+    if model.config.kernel != "linear":
+        return [predict(model, vec).score for vec in vectors]
+    w = weight_vector(model)
+    owner, position, weight = _flat_entries(vectors)
+    known = position < model.dim
+    k = len(vectors)
+    # The bias goes first, so each score sums in the order bias + w.x.
+    bins = np.concatenate((np.arange(k), owner[known]))
+    terms = np.concatenate((np.full(k, model.bias), w[position[known]] * weight[known]))
+    return np.bincount(bins, weights=terms, minlength=k).tolist()
 
 
 def support_vectors(model: SvmModel) -> list[tuple[str, float, int]]:

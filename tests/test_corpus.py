@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import string
 
 import pytest
@@ -41,6 +42,16 @@ class TestTokenize:
             text = "".join(rng.choice("AbC dE!7.") for _ in range(80))
             for token in tokenize(text):
                 assert token == token.lower()
+
+    @given(st.one_of(st.text(), st.text(alphabet="aZ09 _-.\nİKé٣")))
+    def test_equals_split_and_filter(self, text):
+        # The reference: split on runs of non-alphanumerics, then drop
+        # pieces shorter than two characters and pure-digit pieces. The
+        # alphabet holds U+0130 and U+212A, whose lowercase forms contain
+        # ASCII letters, and U+0663, a digit outside [0-9].
+        pieces = re.split(r"[^a-z0-9]+", text.lower())
+        expected = [t for t in pieces if len(t) >= 2 and not re.match(r"^[0-9]+$", t)]
+        assert tokenize(text) == expected
 
 
 class TestStopwords:

@@ -290,6 +290,16 @@ class TestRunSession:
         b = run_session(partition, config, SessionMode.INCREMENTAL)
         assert a.to_json() == b.to_json()
 
+    def test_shared_pass_one_state_gives_the_same_reports(self):
+        stream = synth_drift(0, vocab_size=160, docs_per_phase=150, overlap=0.2)
+        partition = partition_stream(stream, 1 / 3, 5)
+        config = small_config(n=80)
+        state = run_batch_phase(partition.training, config)
+        for mode in (SessionMode.INCREMENTAL, SessionMode.BATCH, SessionMode.INCREMENTAL):
+            shared = run_session(partition, config, mode, state)
+            assert shared.to_json() == run_session(partition, config, mode).to_json()
+        assert state.misclassified == [] and state.batch_history == []
+
     def test_report_round_trip(self):
         stream = synth_drift(4, vocab_size=120, docs_per_phase=100, overlap=0.2)
         partition = partition_stream(stream, 1 / 3, 4)

@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from driftfilter.features import SparseVector
 from driftfilter.svm import (
@@ -167,6 +169,89 @@ class TestModelInvariants:
         a = train_smo(vectors, labels, TrainConfig(C=1.0))
         b = train_smo(vectors, labels, TrainConfig(C=1.0))
         assert model_to_json(a) == model_to_json(b)
+
+
+def assert_feasible_and_kkt(vectors, labels, config):
+    """0 <= alpha <= C, sum(alpha*y) ~ 0, and KKT within tolerance."""
+    model = train_smo(vectors, labels, config)
+    for alpha in model.alphas:
+        assert 0.0 < alpha <= config.C
+    balance = sum(a * y for a, y in zip(model.alphas, model.sv_labels))
+    assert abs(balance) <= 1e-6
+    assert model.converged
+    assert max(kkt_violations(vectors, labels, model)) <= config.kkt_tolerance
+
+
+def kernel_config(kernel, C):
+    return TrainConfig(C=C, kernel=kernel, gamma=0.5 if kernel == "rbf" else None)
+
+
+EXTREME_C = (1e-6, 1e-3, 1.0, 1e3)
+
+
+def coarse_dataset(seed):
+    """Points whose coordinates take a handful of values: duplicates with
+    either label and a low-rank linear Gram matrix. For seed 0 (16 points
+    in 4-D) the linear C=1e3 solve needs over a thousand passes."""
+    rng = random.Random(seed)
+    n, dim = rng.randint(4, 30), rng.randint(1, 4)
+    values = [0.0, 0.0, 1.0, -1.0, 0.5, 2.0, rng.gauss(0, 1)]
+    vectors = [vec(*[rng.choice(values) for _ in range(dim)]) for _ in range(n)]
+    labels = [1, -1] + [rng.choice((1, -1)) for _ in range(n - 2)]
+    return vectors, labels
+
+
+@st.composite
+def degenerate_problems(draw):
+    """Small sets over a few coordinate values: duplicates, opposite labels
+    on equal points and empty vectors are common; dim 0 is all-empty."""
+    n = draw(st.integers(2, 14))
+    dim = draw(st.integers(0, 3))
+    coords = st.sampled_from((0.0, 0.0, 1.0, -1.0, 0.5, 2.0))
+    vectors = [
+        vec(*draw(st.lists(coords, min_size=dim, max_size=dim))) for _ in range(n)
+    ]
+    labels = [1, -1] + draw(
+        st.lists(st.sampled_from((1, -1)), min_size=n - 2, max_size=n - 2)
+    )
+    C = draw(st.sampled_from(EXTREME_C) | st.floats(1e-6, 1e3))
+    return vectors, labels, kernel_config(draw(st.sampled_from(("linear", "rbf"))), C)
+
+
+class TestSolverProperties:
+    @settings(deadline=None, max_examples=200)
+    @given(degenerate_problems())
+    def test_feasible_and_kkt_on_degenerate_input(self, problem):
+        assert_feasible_and_kkt(*problem)
+
+    @pytest.mark.parametrize("kernel", ("linear", "rbf"))
+    @pytest.mark.parametrize("C", EXTREME_C)
+    @pytest.mark.parametrize(
+        "case", ("duplicates", "all_empty", "mixed_empty", "gaussian", "coarse")
+    )
+    def test_named_cases(self, case, C, kernel):
+        if case == "duplicates":
+            vectors = [vec(1.0, 0.5), vec(1.0, 0.5), vec(-1.0, 0.0), vec(-1.0, 0.0)] * 2
+            labels = [1, -1, 1, -1, 1, 1, -1, -1]
+        elif case == "all_empty":
+            vectors, labels = [vec()] * 5, [1, 1, -1, -1, -1]
+        elif case == "mixed_empty":
+            vectors, labels = gaussian_dataset(4, n=12)
+            vectors[::3] = [vec()] * 4
+        elif case == "gaussian":
+            vectors, labels = gaussian_dataset(8, n=30)
+        else:
+            vectors, labels = coarse_dataset(0)
+        assert_feasible_and_kkt(vectors, labels, kernel_config(kernel, C))
+
+    def test_cap_reports_unconverged(self):
+        vectors, labels = gaussian_dataset(8, n=30)
+        config = TrainConfig(C=1e3, max_passes=1)
+        model = train_smo(vectors, labels, config)
+        assert not model.converged
+        assert model.passes == config.max_passes
+        full = train_smo(vectors, labels, TrainConfig(C=1e3))
+        assert full.converged and full.passes > config.max_passes
 
 
 class TestWeightVector:
