@@ -360,9 +360,13 @@ def run_experiment1(config: RunConfig, out_dir: Path) -> ExperimentTable:
     rows = []
     for entry in _dataset_entries(config):
         partition = build_partition(entry, config)
+        # Every selector scores the same training counts.
+        counts = features.count_stats(partition.training)
         for selector in features.SELECTORS:
+            drift_config = _drift_config(config, selector)
+            state = driftloop.run_batch_phase(partition.training, drift_config, counts)
             report = driftloop.run_session(
-                partition, _drift_config(config, selector), driftloop.SessionMode.BATCH
+                partition, drift_config, driftloop.SessionMode.BATCH, state
             )
             _emit_session_files(entry.name, selector, report, out_dir)
             rows.append(_table_row(entry.name, selector, report))

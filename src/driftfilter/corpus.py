@@ -8,8 +8,11 @@ import random
 import re
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
+
+import numpy as np
 
 from . import porter
 
@@ -33,6 +36,38 @@ class Label(Enum):
     UNLABELED = "unlabeled"
 
 
+class TermTable:
+    """Append-only term -> id map.
+
+    Ids are lookup keys only: feature positions come from a feature set's
+    order and every selection sorts by (weight, term), so no result depends
+    on the order in which terms were interned. Entries are never removed,
+    because cached `Document.term_ids` arrays keep referring to them.
+    Interning is not safe from several threads at once.
+    """
+
+    def __init__(self):
+        self.ids: dict[str, int] = {}
+        self.terms: list[str] = []
+
+    def __len__(self) -> int:
+        return len(self.terms)
+
+    def intern(self, tokens) -> np.ndarray:
+        """Read-only int32 ids of `tokens`, in order; unseen terms are added."""
+        ids = self.ids
+        new = [t for t in dict.fromkeys(tokens) if t not in ids]
+        if new:
+            ids.update(zip(new, range(len(self.terms), len(self.terms) + len(new))))
+            self.terms.extend(new)
+        out = np.fromiter(map(ids.__getitem__, tokens), dtype=np.int32, count=len(tokens))
+        out.flags.writeable = False
+        return out
+
+
+TERMS = TermTable()  # the process-wide table behind every Document.term_ids
+
+
 @dataclass(frozen=True)
 class Document:
     """One e-mail: label plus its post-preprocessing token sequence.
@@ -45,6 +80,11 @@ class Document:
     label: Label
     tokens: tuple[str, ...]
     arrival_index: int
+
+    @cached_property
+    def term_ids(self) -> np.ndarray:
+        """The tokens as `TERMS` ids, in token order (interned on first use)."""
+        return TERMS.intern(self.tokens)
 
 
 @dataclass(frozen=True)
@@ -154,14 +194,15 @@ def _stem_fixpoint(token: str) -> str:
 def preprocess_text(raw_text: str, stoplist=None) -> list[str]:
     """Full pipeline: tokenize, drop stopwords, stem.
 
-    Stems are filtered again against the stop list and the minimum length,
-    which together with fixed-point stemming makes the pipeline idempotent:
-    re-running it over its own output changes nothing.
+    Stems are filtered again like tokens (minimum length, not all digits,
+    e.g. 12s -> 12) and against the stop list, which together with
+    fixed-point stemming makes the pipeline idempotent: re-running it over
+    its own output changes nothing.
     """
     if stoplist is None:
         stoplist = stopwords()
     stems = (_stem_fixpoint(t) for t in remove_stopwords(tokenize(raw_text), stoplist))
-    return [s for s in stems if len(s) >= 2 and s not in stoplist]
+    return [s for s in stems if len(s) >= 2 and not s.isdigit() and s not in stoplist]
 
 
 def _read_lossy(path: Path) -> str:
@@ -324,8 +365,6 @@ def partition_stream(
     """
     if not 0 < train_fraction < 1:
         raise CorpusError(f"train_fraction must be in (0,1), got {train_fraction}")
-    if n_batches < 1:
-        raise CorpusError(f"n_batches must be >= 1, got {n_batches}")
     if not corpus.documents:
         raise CorpusError("cannot partition an empty corpus")
     order = list(corpus.documents)
@@ -340,6 +379,8 @@ def partition_stream(
 def split_batches(documents, n_batches: int) -> tuple[LabeledCorpus, ...]:
     """Cut a document sequence into contiguous batches differing by <= 1 in size."""
     documents = list(documents)
+    if n_batches < 1:
+        raise CorpusError(f"n_batches must be >= 1, got {n_batches}")
     if n_batches > len(documents):
         raise CorpusError(
             f"n_batches={n_batches} exceeds test size {len(documents)}"

@@ -112,9 +112,17 @@ def _label_to_int(label: Label) -> int:
     raise DriftLoopError("evaluation requires labeled documents")
 
 
-def build_feature_set(training: LabeledCorpus, config: DriftConfig) -> features.FeatureSet:
-    """Top-N feature set of the training corpus under the configured selector."""
-    counts = features.count_stats(training)
+def build_feature_set(
+    training: LabeledCorpus,
+    config: DriftConfig,
+    counts: features.CorpusCounts | None = None,
+) -> features.FeatureSet:
+    """Top-N feature set of the training corpus under the configured selector.
+
+    `counts`, when given, is `features.count_stats(training)`.
+    """
+    if counts is None:
+        counts = features.count_stats(training)
     if config.selector == "tfdcr":
         return features.select_top_n(counts, config.feature_dim)
     scores = features.baseline_score(config.selector, counts)
@@ -122,7 +130,7 @@ def build_feature_set(training: LabeledCorpus, config: DriftConfig) -> features.
 
 
 def _train_on(docs, fs: features.FeatureSet, config: DriftConfig) -> svm.SvmModel:
-    vectors = [features.vectorize(d, fs) for d in docs]
+    vectors = features.vectorize_all(docs, fs)
     labels = [_label_to_int(d.label) for d in docs]
     return svm.train_smo(
         vectors, labels, config.train_config, doc_ids=[d.id for d in docs]
@@ -134,9 +142,17 @@ def _sv_documents(model: svm.SvmModel, docs) -> tuple[Document, ...]:
     return tuple(by_id[doc_id] for doc_id in model.sv_doc_ids)
 
 
-def run_batch_phase(training: LabeledCorpus, config: DriftConfig) -> FilterState:
-    """Pass I: select features over the training corpus and train the model."""
-    fs = build_feature_set(training, config)
+def run_batch_phase(
+    training: LabeledCorpus,
+    config: DriftConfig,
+    counts: features.CorpusCounts | None = None,
+) -> FilterState:
+    """Pass I: select features over the training corpus and train the model.
+
+    `counts`, when given, is `features.count_stats(training)`; sessions that
+    differ only in the selector can share it.
+    """
+    fs = build_feature_set(training, config, counts)
     model = _train_on(training.documents, fs, config)
     return FilterState(
         generation=0,
@@ -154,7 +170,7 @@ def evaluate_batch(state: FilterState, batch: LabeledCorpus):
     """
     if not batch.documents:
         raise DriftLoopError("cannot evaluate an empty batch")
-    vectors = [features.vectorize(d, state.feature_set) for d in batch.documents]
+    vectors = features.vectorize_all(batch.documents, state.feature_set)
     scores = svm.decision_scores(state.model, vectors)
     predictions = [1 if s > 0 else -1 for s in scores]
     truths = [_label_to_int(d.label) for d in batch.documents]

@@ -10,11 +10,11 @@ from __future__ import annotations
 import hashlib
 import logging
 import math
-from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain
 
-from .corpus import LabeledCorpus, Document, Label
+import numpy as np
+
+from .corpus import TERMS, Document, Label, LabeledCorpus
 
 logger = logging.getLogger(__name__)
 
@@ -52,21 +52,31 @@ class ScoredFeature:
 
 @dataclass(frozen=True)
 class FeatureSet:
-    """Ordered selected features with a term -> position lookup."""
+    """Ordered selected features with term -> position and id -> position lookups.
+
+    `lookup[i]` is the position of the term with `TERMS` id `i`, or
+    -1; the set's own terms are interned first, so an id at or beyond
+    `len(lookup)` is not in the set.
+    """
 
     features: tuple[ScoredFeature, ...]
     index: dict[str, int] = field(init=False, repr=False, compare=False)
     tag: str = field(init=False, repr=False, compare=False)
+    lookup: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        index = {sf.term: i for i, sf in enumerate(self.features)}
+        terms = [sf.term for sf in self.features]
+        index = {term: i for i, term in enumerate(terms)}
         if len(index) != len(self.features):
             raise FeatureError("duplicate terms in feature set")
-        digest = hashlib.sha1(
-            "\n".join(sf.term for sf in self.features).encode("utf-8")
-        ).hexdigest()
+        digest = hashlib.sha1("\n".join(terms).encode("utf-8")).hexdigest()
+        ids = TERMS.intern(terms)
+        lookup = np.full(int(ids.max()) + 1 if len(ids) else 0, -1, dtype=np.intp)
+        lookup[ids] = np.arange(len(ids))
+        lookup.flags.writeable = False
         object.__setattr__(self, "index", index)
         object.__setattr__(self, "tag", digest)
+        object.__setattr__(self, "lookup", lookup)
 
     def __len__(self) -> int:
         return len(self.features)
@@ -75,27 +85,73 @@ class FeatureSet:
         return term in self.index
 
 
-@dataclass(frozen=True)
+def _check_entries(keys: np.ndarray, weights: np.ndarray) -> None:
+    if len(keys) != len(weights):
+        raise FeatureError("positions and weights differ in length")
+    if np.any(keys[1:] <= keys[:-1]):
+        raise FeatureError("entry positions must be strictly increasing")
+    if np.any(weights == 0.0):
+        raise FeatureError("zero weights must not be stored")
+
+
+@dataclass(frozen=True, eq=False)
 class SparseVector:
     """L2-normalized sparse document vector over a feature set.
 
-    Entries are (position, weight) pairs with strictly increasing positions
-    and no stored zeros; `feature_tag` identifies the feature set the
+    `positions` (strictly increasing) and `weights` (no stored zeros) are
+    parallel read-only arrays; `feature_tag` identifies the feature set the
     positions refer to.
     """
 
-    entries: tuple[tuple[int, float], ...]
+    positions: np.ndarray
+    weights: np.ndarray
     feature_tag: str | None = None
 
     def __post_init__(self):
-        positions = [p for p, _ in self.entries]
-        if any(b <= a for a, b in zip(positions, positions[1:])):
-            raise FeatureError("entry positions must be strictly increasing")
-        if any(w == 0.0 for _, w in self.entries):
-            raise FeatureError("zero weights must not be stored")
+        positions = np.array(self.positions, dtype=np.intp).reshape(-1)
+        weights = np.array(self.weights, dtype=float).reshape(-1)
+        _check_entries(positions, weights)
+        positions.flags.writeable = False
+        weights.flags.writeable = False
+        object.__setattr__(self, "positions", positions)
+        object.__setattr__(self, "weights", weights)
+
+    @classmethod
+    def _trusted(cls, positions, weights, feature_tag):
+        # For entries already checked by the caller (see vectorize_all).
+        vec = object.__new__(cls)
+        object.__setattr__(vec, "positions", positions)
+        object.__setattr__(vec, "weights", weights)
+        object.__setattr__(vec, "feature_tag", feature_tag)
+        return vec
+
+    @property
+    def entries(self) -> tuple[tuple[int, float], ...]:
+        """(position, weight) pairs, as Python numbers."""
+        return tuple(zip(self.positions.tolist(), self.weights.tolist()))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SparseVector):
+            return NotImplemented
+        return (
+            self.feature_tag == other.feature_tag
+            and np.array_equal(self.positions, other.positions)
+            and np.array_equal(self.weights, other.weights)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.positions.tobytes(), self.weights.tobytes(), self.feature_tag))
 
     def l2_norm(self) -> float:
-        return math.sqrt(sum(w * w for _, w in self.entries))
+        return math.sqrt(self.weights @ self.weights)
+
+
+def _token_ids(docs):
+    """(row, id) arrays over every token of `docs`, row = index in `docs`."""
+    arrays = [d.term_ids for d in docs]
+    rows = np.repeat(np.arange(len(arrays)), [len(a) for a in arrays])
+    ids = np.concatenate(arrays) if arrays else np.zeros(0, dtype=np.int32)
+    return rows, ids
 
 
 def count_stats(corpus: LabeledCorpus) -> CorpusCounts:
@@ -108,21 +164,27 @@ def count_stats(corpus: LabeledCorpus) -> CorpusCounts:
     n_legit = corpus.n_legit
     if n_spam + n_legit == 0:
         raise FeatureError("corpus has no labeled documents")
-    spam = [d.tokens for d in corpus.documents if d.label is Label.SPAM]
-    legit = [d.tokens for d in corpus.documents if d.label is Label.LEGITIMATE]
-    tf_spam = Counter(chain.from_iterable(spam))
-    tf_legit = Counter(chain.from_iterable(legit))
-    df_spam = Counter(chain.from_iterable(map(set, spam)))
-    df_legit = Counter(chain.from_iterable(map(set, legit)))
-    counts = {}
-    for term in set(tf_spam) | set(tf_legit):
-        counts[term] = FeatureCounts(
-            term=term,
-            tf_spam=tf_spam[term],
-            tf_legit=tf_legit[term],
-            df_spam=df_spam[term],
-            df_legit=df_legit[term],
+    classes = [
+        _token_ids([d for d in corpus.documents if d.label is label])
+        for label in (Label.SPAM, Label.LEGITIMATE)
+    ]
+    width = len(TERMS)
+    columns = []
+    for rows, ids in classes:
+        columns.append(np.bincount(ids, minlength=width))
+        # df counts each distinct (document, id) key once.
+        distinct = np.unique(rows * width + ids)
+        columns.append(np.bincount(distinct % width, minlength=width))
+    tf_spam, df_spam, tf_legit, df_legit = columns
+    present = np.flatnonzero(tf_spam + tf_legit)
+    terms = TERMS.terms
+    counts = {
+        terms[i]: FeatureCounts(terms[i], ts, tl, ds, dl)
+        for i, ts, tl, ds, dl in zip(
+            present.tolist(), tf_spam[present].tolist(), tf_legit[present].tolist(),
+            df_spam[present].tolist(), df_legit[present].tolist(),
         )
+    }
     return CorpusCounts(counts=counts, n_spam=n_spam, n_legit=n_legit)
 
 
@@ -257,22 +319,40 @@ def baseline_score(method: str, counts: CorpusCounts) -> dict[str, float]:
     return scores
 
 
-def vectorize(doc: Document, fs: FeatureSet) -> SparseVector:
-    """Raw term-frequency vector over the feature set, L2-normalized.
+def vectorize_all(docs, fs: FeatureSet) -> list[SparseVector]:
+    """Raw term-frequency vectors over the feature set, L2-normalized.
 
-    Documents containing no selected feature yield the empty vector.
+    One pass over the whole document list: each token id is mapped to its
+    position, the (document, position) keys are counted, and each count is
+    divided by its document's norm, the square root of an exactly summed
+    integer. Documents containing no selected feature yield the empty vector.
     """
     if not fs.features:
         raise FeatureError("cannot vectorize against an empty feature set")
-    index = fs.index
-    counts = Counter(map(index.get, filter(index.__contains__, doc.tokens)))
-    if not counts:
-        return SparseVector((), fs.tag)
-    norm = math.sqrt(sum(c * c for c in counts.values()))
-    entries = tuple(
-        (position, counts[position] / norm) for position in sorted(counts)
-    )
-    return SparseVector(entries, fs.tag)
+    docs = list(docs)
+    rows, ids = _token_ids(docs)
+    known = ids < len(fs.lookup)
+    positions = fs.lookup[ids[known]]
+    hit = positions >= 0
+    dim = len(fs)
+    keys, counts = np.unique(rows[known][hit] * dim + positions[hit], return_counts=True)
+    rows = keys // dim
+    positions = keys % dim
+    norms = np.sqrt(np.bincount(rows, weights=counts * counts, minlength=len(docs)))
+    weights = counts / norms[rows]
+    _check_entries(keys, weights)
+    positions.flags.writeable = False
+    weights.flags.writeable = False
+    bounds = np.searchsorted(rows, np.arange(len(docs) + 1)).tolist()
+    return [
+        SparseVector._trusted(positions[a:b], weights[a:b], fs.tag)
+        for a, b in zip(bounds, bounds[1:])
+    ]
+
+
+def vectorize(doc: Document, fs: FeatureSet) -> SparseVector:
+    """The vector of one document (see `vectorize_all`)."""
+    return vectorize_all([doc], fs)[0]
 
 
 def update_feature_set(

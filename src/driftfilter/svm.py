@@ -80,24 +80,6 @@ class Prediction:
     label: int  # +1 spam, -1 legitimate; a zero score maps to legitimate
 
 
-def _sparse_dot(x: SparseVector, y: SparseVector) -> float:
-    total = 0.0
-    xs, ys = x.entries, y.entries
-    i = j = 0
-    while i < len(xs) and j < len(ys):
-        px, wx = xs[i]
-        py, wy = ys[j]
-        if px == py:
-            total += wx * wy
-            i += 1
-            j += 1
-        elif px < py:
-            i += 1
-        else:
-            j += 1
-    return total
-
-
 def _rbf(gamma: float, sq_x, sq_y, dot):
     """exp(-gamma * ||x - y||^2) from the squared norms and the dot product."""
     return np.exp(-gamma * (sq_x + sq_y - 2.0 * dot))
@@ -105,21 +87,20 @@ def _rbf(gamma: float, sq_x, sq_y, dot):
 
 def kernel_eval(config: TrainConfig, x: SparseVector, y: SparseVector) -> float:
     """Kernel value between two sparse vectors."""
-    dot = _sparse_dot(x, y)
+    _, ix, iy = np.intersect1d(
+        x.positions, y.positions, assume_unique=True, return_indices=True
+    )
+    dot = float(x.weights[ix] @ y.weights[iy])
     if config.kernel == "linear":
         return dot
-    sq_x = sum(w * w for _, w in x.entries)
-    sq_y = sum(w * w for _, w in y.entries)
-    return float(_rbf(config.gamma, sq_x, sq_y, dot))
+    return float(_rbf(config.gamma, x.weights @ x.weights, y.weights @ y.weights, dot))
 
 
 def _flat_entries(vectors) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(owner, position, weight) arrays over every entry, in vector order."""
-    lengths = [len(vec.entries) for vec in vectors]
-    owner = np.repeat(np.arange(len(lengths)), lengths)
-    flat = [entry for vec in vectors for entry in vec.entries]
-    position = np.fromiter((p for p, _ in flat), dtype=np.intp, count=len(flat))
-    weight = np.fromiter((w for _, w in flat), dtype=float, count=len(flat))
+    owner = np.repeat(np.arange(len(vectors)), [len(vec.positions) for vec in vectors])
+    position = np.concatenate([np.zeros(0, np.intp)] + [vec.positions for vec in vectors])
+    weight = np.concatenate([np.zeros(0)] + [vec.weights for vec in vectors])
     return owner, position, weight
 
 
@@ -132,9 +113,8 @@ class _KernelTable:
         owner, position, weight = _flat_entries(vectors)
         self.XT = np.zeros((dim, n))
         self.XT[position, owner] = weight
-        bounds = np.cumsum([len(vec.entries) for vec in vectors])[:-1]
-        self.cols = np.split(position, bounds)
-        self.vals = np.split(weight, bounds)
+        self.cols = [vec.positions for vec in vectors]
+        self.vals = [vec.weights for vec in vectors]
         self.config = config
         self.sq = np.bincount(owner, weights=weight * weight, minlength=n)
         self.diag = np.ones(n) if config.kernel == "rbf" else self.sq
@@ -254,10 +234,8 @@ def train_smo(vectors, labels, config: TrainConfig, doc_ids=None) -> SvmModel:
         raise SvmError("training vectors come from different feature sets")
     feature_tag = tags.pop() if tags else None
 
-    dim = 0
-    for vec in vectors:
-        if vec.entries:
-            dim = max(dim, vec.entries[-1][0] + 1)
+    dim = max((int(vec.positions[-1]) + 1 for vec in vectors if len(vec.positions)),
+              default=0)
     y = np.array(labels, dtype=float)
     solver = _SmoSolver(_KernelTable(vectors, dim, config), y, config)
     converged, passes = solver.solve()
@@ -289,10 +267,7 @@ def _check_tags(model: SvmModel, vectors) -> None:
 
 def predict(model: SvmModel, x: SparseVector) -> Prediction:
     """Signed decision value and label for one vector."""
-    _check_tags(model, (x,))
-    score = model.bias
-    for alpha, label, sv in zip(model.alphas, model.sv_labels, model.sv_vectors):
-        score += alpha * label * kernel_eval(model.config, x, sv)
+    score = decision_scores(model, [x])[0]
     return Prediction(score=score, label=1 if score > 0 else -1)
 
 
@@ -305,12 +280,29 @@ def weight_vector(model: SvmModel) -> np.ndarray:
     return np.bincount(position, weights=coef[owner] * weight, minlength=model.dim)
 
 
+def _dense(vectors, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of `vectors` cut to `dim` columns, and their full squared norms."""
+    owner, position, weight = _flat_entries(vectors)
+    known = position < dim
+    X = np.zeros((len(vectors), dim))
+    X[owner[known], position[known]] = weight[known]
+    return X, np.bincount(owner, weights=weight * weight, minlength=len(vectors))
+
+
 def decision_scores(model: SvmModel, vectors) -> list[float]:
-    """Decision values for many vectors; linear models use the weight vector."""
+    """Decision values bias + sum over SVs of alpha*y*K(sv, x), for many vectors.
+
+    Linear models use the weight vector; RBF models one kernel matrix
+    between the batch and the support vectors.
+    """
     vectors = list(vectors)
     _check_tags(model, vectors)
     if model.config.kernel != "linear":
-        return [predict(model, vec).score for vec in vectors]
+        X, sq_x = _dense(vectors, model.dim)
+        S, sq_s = _dense(model.sv_vectors, model.dim)
+        K = _rbf(model.config.gamma, sq_x[:, None], sq_s, X @ S.T)
+        coef = np.array(model.alphas, dtype=float) * np.array(model.sv_labels)
+        return (model.bias + K @ coef).tolist()
     w = weight_vector(model)
     owner, position, weight = _flat_entries(vectors)
     known = position < model.dim
@@ -416,7 +408,8 @@ def model_from_json(text: str) -> SvmModel:
         sv_labels=tuple(sv["label"] for sv in svs),
         sv_vectors=tuple(
             SparseVector(
-                tuple((int(p), float(w)) for p, w in sv["entries"]),
+                [p for p, _ in sv["entries"]],
+                [w for _, w in sv["entries"]],
                 sv["vector_tag"],
             )
             for sv in svs

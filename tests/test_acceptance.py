@@ -73,8 +73,9 @@ def test_criterion_2_smo_against_qp_oracle():
             entries = (
                 (0, cx + rng.gauss(0, 0.8)), (1, cx + rng.gauss(0, 0.8)),
             )
+            kept = [(p, w) for p, w in entries if w != 0.0]
             vectors.append(features.SparseVector(
-                tuple((p, w) for p, w in entries if w != 0.0)
+                [p for p, _ in kept], [w for _, w in kept]
             ))
             labels.append(label)
         config = svm.TrainConfig(C=1.0, kkt_tolerance=1e-5)

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from driftfilter import corpus, porter
 from driftfilter.corpus import (
     CorpusError, Document, Label, LabeledCorpus, load_ecml, load_enron,
-    load_pu, partition_stream, preprocess_text, remove_stopwords, stem,
-    stopwords, synth_drift, tokenize, write_enron_layout,
+    load_pu, partition_stream, preprocess_text, remove_stopwords, split_batches,
+    stem, stopwords, synth_drift, tokenize, write_enron_layout,
 )
 
 from conftest import make_doc, make_corpus
@@ -140,6 +140,16 @@ class TestPreprocess:
             first = preprocess_text(text)
             second = preprocess_text(" ".join(first))
             assert first == second
+
+    @given(st.one_of(
+        st.text(),
+        st.lists(st.text(alphabet="19sİ", max_size=4)).map(" ".join),
+    ))
+    def test_idempotent_on_arbitrary_unicode(self, text):
+        # The second strategy makes suffixed words and digit runs common
+        # (19s stems to the all-digit 19, which must not be kept).
+        first = preprocess_text(text)
+        assert preprocess_text(" ".join(first)) == first
 
     def test_output_clean(self):
         out = preprocess_text("The THE tHe spammy offer now 99")
@@ -333,6 +343,65 @@ class TestPartitionStream:
         for batch in part.test_batches:
             indices = [d.arrival_index for d in batch.documents]
             assert indices == sorted(indices)
+
+    @given(
+        st.integers(1, 60),
+        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        st.integers(1, 70),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_invariants(self, n, train_fraction, n_batches, chronological, seed):
+        c = _numbered_corpus(n)
+        n_train = math.ceil(train_fraction * n)
+        if n_batches > n - n_train:
+            with pytest.raises(CorpusError, match="n_batches"):
+                partition_stream(c, train_fraction, n_batches, chronological, seed)
+            return
+        part = partition_stream(c, train_fraction, n_batches, chronological, seed)
+        pieces = [part.training] + list(part.test_batches)
+        ids = [d.id for piece in pieces for d in piece.documents]
+        assert sorted(ids) == sorted(d.id for d in c.documents)  # each once
+        for piece in pieces:
+            indices = [d.arrival_index for d in piece.documents]
+            assert indices == sorted(indices)
+        if chronological:
+            assert ids == [d.id for d in c.documents]
+        assert len(part.training) == n_train
+        sizes = [len(b) for b in part.test_batches]
+        assert len(sizes) == n_batches
+        assert max(sizes) - min(sizes) <= 1
+
+    @given(
+        st.one_of(
+            st.floats(allow_nan=True).filter(lambda f: not 0 < f < 1),
+            st.just(float("nan")),
+        ),
+        st.integers(-5, 0),
+    )
+    def test_bad_arguments_raise(self, train_fraction, n_batches):
+        c = _numbered_corpus(10)
+        with pytest.raises(CorpusError, match="train_fraction"):
+            partition_stream(c, train_fraction, 2)
+        with pytest.raises(CorpusError, match="n_batches"):
+            partition_stream(c, 0.5, n_batches)
+        with pytest.raises(CorpusError, match="empty corpus"):
+            partition_stream(LabeledCorpus(()), 0.5, 2)
+
+
+class TestSplitBatches:
+    @given(st.integers(0, 60), st.integers(-3, 70))
+    def test_invariants(self, n, n_batches):
+        docs = list(_numbered_corpus(n).documents)
+        if not 1 <= n_batches <= n:
+            with pytest.raises(CorpusError, match="n_batches"):
+                split_batches(docs, n_batches)
+            return
+        batches = split_batches(docs, n_batches)
+        assert len(batches) == n_batches
+        assert [d for b in batches for d in b.documents] == docs  # once, in order
+        sizes = [len(b) for b in batches]
+        assert max(sizes) - min(sizes) <= 1
 
 
 def _phase_exclusive_vocab(stream, lo, hi):

@@ -1,8 +1,11 @@
+import random
+import uuid
+
 import pytest
 
 from driftfilter import driftloop, svm
 from driftfilter.corpus import (
-    Label, LabeledCorpus, partition_stream, synth_drift,
+    TERMS, Document, Label, LabeledCorpus, partition_stream, synth_drift,
 )
 from driftfilter.driftloop import (
     DriftConfig, DriftLoopError, FprTrigger, SessionHalted, SessionMode,
@@ -299,6 +302,39 @@ class TestRunSession:
             shared = run_session(partition, config, mode, state)
             assert shared.to_json() == run_session(partition, config, mode).to_json()
         assert state.misclassified == [] and state.batch_history == []
+
+    @pytest.mark.parametrize("selector", ["tfdcr", "chi"])
+    def test_reports_do_not_depend_on_interning_order(self, selector):
+        # Two copies of one stream whose terms differ only by a fresh prefix
+        # of equal length, so every (weight, term) sort orders them alike.
+        # The first copy is interned as the session meets its tokens; the
+        # second copy's vocabulary, with extra terms, is interned up front
+        # in shuffled order.
+        stream = synth_drift(6, vocab_size=160, docs_per_phase=150, overlap=0.2)
+        config = small_config(n=60, selector=selector)
+
+        def renamed(prefix):
+            return LabeledCorpus(tuple(
+                Document(d.id, d.label, tuple(prefix + t for t in d.tokens),
+                         d.arrival_index)
+                for d in stream.documents
+            ))
+
+        reports = []
+        for shuffled in (False, True):
+            prefix = uuid.uuid4().hex + "-"
+            copy = renamed(prefix)
+            if shuffled:
+                vocabulary = sorted({t for d in copy.documents for t in d.tokens})
+                vocabulary += [f"{prefix}extra{i}" for i in range(50)]
+                random.Random(3).shuffle(vocabulary)
+                TERMS.intern(vocabulary)
+                first_seen = list(dict.fromkeys(t for d in copy.documents for t in d.tokens))
+                assert sorted(first_seen, key=TERMS.ids.__getitem__) != first_seen
+            partition = partition_stream(copy, 1 / 3, 5)
+            reports.append(run_session(partition, config, SessionMode.INCREMENTAL))
+        assert reports[0].events
+        assert reports[0].to_json() == reports[1].to_json()
 
     def test_report_round_trip(self):
         stream = synth_drift(4, vocab_size=120, docs_per_phase=100, overlap=0.2)

@@ -1,18 +1,70 @@
 import math
 import random
+import uuid
+from collections import Counter
+from itertools import chain
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from driftfilter import features
+from driftfilter.corpus import Label, LabeledCorpus
 from driftfilter.features import (
     CorpusCounts, FeatureCounts, FeatureError, FeatureSet, ScoredFeature,
-    baseline_score, count_stats, load_feature_set, save_feature_set,
-    select_top_n, select_top_n_scored, selection_rank_weight, tfdcr_weight,
-    update_feature_set, vectorize,
+    SparseVector, baseline_score, count_stats, load_feature_set,
+    save_feature_set, select_top_n, select_top_n_scored, selection_rank_weight,
+    tfdcr_weight, update_feature_set, vectorize, vectorize_all,
 )
 
 import oracles
 from conftest import make_corpus, make_doc, random_corpus
+
+# Terms from a tiny alphabet, so documents and feature sets overlap often.
+_TERM_TEXT = st.text(alphabet="abxyé", min_size=1, max_size=3)
+
+
+def _fresh(n):
+    """n terms that no earlier code in this process can have interned."""
+    return [f"fresh-{uuid.uuid4().hex}" for _ in range(n)]
+
+
+def _counter_counts(corpus_):
+    """count_stats by Counter over the token strings (the reference)."""
+    tokens = {
+        label: [d.tokens for d in corpus_.documents if d.label is label]
+        for label in (Label.SPAM, Label.LEGITIMATE)
+    }
+    tf = {k: Counter(chain.from_iterable(v)) for k, v in tokens.items()}
+    df = {k: Counter(chain.from_iterable(map(set, v))) for k, v in tokens.items()}
+    spam, legit = Label.SPAM, Label.LEGITIMATE
+    return {
+        term: FeatureCounts(
+            term, tf[spam][term], tf[legit][term], df[spam][term], df[legit][term]
+        )
+        for term in set(tf[spam]) | set(tf[legit])
+    }
+
+
+def _counter_vectorize(doc, fs):
+    """vectorize by Counter over the token strings (the reference)."""
+    index = fs.index
+    counts = Counter(map(index.get, filter(index.__contains__, doc.tokens)))
+    norm = math.sqrt(sum(c * c for c in counts.values()))
+    positions = sorted(counts)
+    return positions, [counts[p] / norm for p in positions]
+
+
+def _assert_matches_reference(docs, fs):
+    vectors = vectorize_all(docs, fs)
+    assert len(vectors) == len(docs)
+    for doc, vec in zip(docs, vectors):
+        positions, weights = _counter_vectorize(doc, fs)
+        assert vec.positions.tolist() == positions
+        assert vec.weights.tolist() == weights
+        assert vec == SparseVector(positions, weights, fs.tag)
+        assert vectorize(doc, fs) == vec
 
 
 def _as_pairs(corpus_):
@@ -50,10 +102,28 @@ class TestCountStats:
                 )
 
     def test_unlabeled_error(self):
-        from driftfilter.corpus import LabeledCorpus, Label
         c = LabeledCorpus((make_doc(0, Label.UNLABELED, ["x"]),))
         with pytest.raises(FeatureError):
             count_stats(c)
+
+    @given(st.lists(st.tuples(
+        st.sampled_from(list(Label)), st.lists(_TERM_TEXT, max_size=30),
+    ), max_size=12))
+    def test_equals_counter_reference(self, spec):
+        c = LabeledCorpus(tuple(
+            make_doc(i, label, tokens + _fresh(i % 2))
+            for i, (label, tokens) in enumerate(spec)
+        ))
+        if c.n_spam + c.n_legit == 0:
+            with pytest.raises(FeatureError, match="no labeled"):
+                count_stats(c)
+            return
+        stats = count_stats(c)
+        assert stats.counts == _counter_counts(c)
+        assert (stats.n_spam, stats.n_legit) == (c.n_spam, c.n_legit)
+        for fc in stats.counts.values():
+            fields = (fc.tf_spam, fc.tf_legit, fc.df_spam, fc.df_legit)
+            assert all(type(v) is int for v in fields)
 
 
 class TestTfdcrWeight:
@@ -263,6 +333,77 @@ class TestVectorize:
         fs = self._fs("a", "b")
         doc = make_doc(0, "spam", ["a", "b", "a"])
         assert vectorize(doc, fs) == vectorize(doc, fs)
+
+    @given(
+        st.lists(_TERM_TEXT, min_size=1, max_size=12, unique=True),
+        st.lists(st.lists(_TERM_TEXT, max_size=40), max_size=8),
+        st.integers(0, 3),
+    )
+    def test_batch_equals_counter_reference(self, terms, token_lists, n_fresh):
+        # The set's own fresh terms are interned by the set; the documents'
+        # other fresh terms only after it, so their ids lie beyond its lookup.
+        own = _fresh(n_fresh)
+        fs = self._fs(*terms, *own)
+        later = _fresh(n_fresh)
+        docs = [
+            make_doc(i, "spam", tokens + own[: i % 3] + later[: i % 2] * 2)
+            for i, tokens in enumerate(token_lists)
+        ]
+        _assert_matches_reference(docs, fs)
+
+    def test_loaded_set_with_unseen_terms(self, tmp_path):
+        unseen = _fresh(4)
+        path = tmp_path / "features.tsv"
+        path.write_text(
+            "".join(f"{t}\t{w}\n" for t, w in zip(unseen + ["a"], (5, 4, 3, 2, 1))),
+            encoding="utf-8",
+        )
+        fs = load_feature_set(path)
+        docs = [
+            make_doc(0, "spam", [unseen[2], "a", unseen[2], "zz"]),
+            make_doc(1, "legit", [unseen[0]] + _fresh(2)),
+            make_doc(2, "legit", ["zz"]),
+        ]
+        _assert_matches_reference(docs, fs)
+        assert vectorize_all(docs, fs)[2].entries == ()
+
+    def test_empty_documents(self):
+        fs = self._fs("a", "b")
+        assert vectorize_all([], fs) == []
+        vectors = vectorize_all([make_doc(0, "spam", []), make_doc(1, "spam", ["b"])], fs)
+        assert vectors[0].entries == ()
+        assert vectors[1].entries == ((1, 1.0),)
+
+    def test_empty_feature_set_rejected(self):
+        fs = FeatureSet(())
+        doc = make_doc(0, "spam", ["a"])
+        with pytest.raises(FeatureError, match="empty feature set"):
+            vectorize_all([doc], fs)
+        with pytest.raises(FeatureError, match="empty feature set"):
+            vectorize(doc, fs)
+
+
+class TestSparseVector:
+    def test_constructor_checks_each_vector(self):
+        with pytest.raises(FeatureError, match="strictly increasing"):
+            SparseVector([1, 1], [0.5, 0.5])
+        with pytest.raises(FeatureError, match="zero weights"):
+            SparseVector([0, 1], [0.5, 0.0])
+        with pytest.raises(FeatureError, match="length"):
+            SparseVector([0, 1], [0.5])
+
+    def test_arrays_are_read_only(self):
+        vec = vectorize(make_doc(0, "spam", ["a"]), TestVectorize()._fs("a"))
+        with pytest.raises(ValueError):
+            vec.weights[0] = 2.0
+
+    def test_equality_and_hash(self):
+        a = SparseVector([0, 2], [0.6, 0.8], "t")
+        assert a == SparseVector(np.array([0, 2]), (0.6, 0.8), "t")
+        assert hash(a) == hash(SparseVector([0, 2], [0.6, 0.8], "t"))
+        assert a != SparseVector([0, 2], [0.6, 0.8], "u")
+        assert a != SparseVector([0, 1], [0.6, 0.8], "t")
+        assert a.entries == ((0, 0.6), (2, 0.8))
 
 
 class TestUpdateFeatureSet:

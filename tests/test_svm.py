@@ -17,8 +17,8 @@ import oracles
 
 
 def vec(*coords, tag=None):
-    entries = tuple((i, float(c)) for i, c in enumerate(coords) if c != 0.0)
-    return SparseVector(entries, tag)
+    positions = [i for i, c in enumerate(coords) if c != 0.0]
+    return SparseVector(positions, [float(coords[i]) for i in positions], tag)
 
 
 def gaussian_dataset(seed, n=20):
@@ -366,6 +366,39 @@ class TestSerialization:
         assert path.read_bytes() == (tmp_path / "model2.json").read_bytes()
 
 
+def sparse_dataset(seed, n=30, dim=6):
+    """Seeded two-class set whose vectors have about half their coordinates zero."""
+    rng = random.Random(seed)
+    vectors, labels = [], []
+    for i in range(n):
+        label = 1 if i % 2 == 0 else -1
+        coords = [
+            rng.gauss(0.5 * label, 1.0) if rng.random() < 0.5 else 0.0
+            for _ in range(dim)
+        ]
+        vectors.append(vec(*coords))
+        labels.append(label)
+    return vectors, labels
+
+
+def loop_score(model, x):
+    """bias + sum over SVs of alpha*y*K(sv, x), one kernel value at a time in
+    Python floats; also returns the sum of the terms' magnitudes."""
+    xs = dict(x.entries)
+    sq_x = sum(w * w for w in xs.values())
+    score, scale = model.bias, abs(model.bias)
+    for alpha, label, sv in zip(model.alphas, model.sv_labels, model.sv_vectors):
+        dot = sum(w * xs.get(p, 0.0) for p, w in sv.entries)
+        if model.config.kernel == "linear":
+            k = dot
+        else:
+            sq_sv = sum(w * w for _, w in sv.entries)
+            k = math.exp(-model.config.gamma * (sq_x + sq_sv - 2.0 * dot))
+        score += alpha * label * k
+        scale += abs(alpha * k)
+    return score, scale
+
+
 class TestDecisionScores:
     def test_matches_predict(self):
         vectors, labels = gaussian_dataset(9)
@@ -373,3 +406,25 @@ class TestDecisionScores:
         scores = decision_scores(model, vectors)
         for x, score in zip(vectors, scores):
             assert abs(predict(model, x).score - score) <= 1e-10
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("kernel,gamma", [
+        ("rbf", 0.05), ("rbf", 0.5), ("rbf", 4.0), ("linear", None),
+    ])
+    def test_batch_matches_per_support_vector_loop(self, seed, kernel, gamma):
+        # The batch sums in another order than the loop, so scores agree to
+        # a few ulps of the largest term: 1e-12 relative to the summed
+        # magnitudes. Probes reach past the model's dimension (their extra
+        # coordinates still count in the RBF distance), and one is empty.
+        vectors, labels = sparse_dataset(seed)
+        model = train_smo(vectors, labels, TrainConfig(C=1.0, kernel=kernel, gamma=gamma))
+        rng = random.Random(seed + 50)
+        probes = vectors + [
+            vec(*(rng.uniform(-2, 2) if rng.random() < 0.6 else 0.0 for _ in range(8)))
+            for _ in range(20)
+        ] + [vec()]
+        scores = decision_scores(model, probes)
+        for x, score in zip(probes, scores):
+            expected, scale = loop_score(model, x)
+            assert abs(score - expected) <= 1e-12 * scale
+            assert abs(predict(model, x).score - expected) <= 1e-12 * scale
