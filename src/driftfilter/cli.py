@@ -450,8 +450,6 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_config(args) -> int:
-    if args.action != "dump":
-        raise CliError(f"unknown config action: {args.action!r}")
     config = parse_config(args.config, _overrides_from_args(args))
     sys.stdout.write(dump_config(config))
     return 0

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import logging
 import math
 import random
@@ -116,6 +117,21 @@ class StreamPartition:
     training: LabeledCorpus
     test_batches: tuple[LabeledCorpus, ...]
 
+    @cached_property
+    def checksum(self) -> str:
+        """Stable digest of the documents (id, label and tokens) and batch
+        boundaries. Tokens, not term ids: ids depend on interning order.
+        Computed once, as every session on the partition records it."""
+        digest = hashlib.sha256()
+        groups = [("T", self.training)] + [
+            (f"B{k}", batch) for k, batch in enumerate(self.test_batches)
+        ]
+        for name, group in groups:
+            for doc in group.documents:
+                header = f"{name} {doc.id} {doc.label.value} {len(doc.tokens)}\n"
+                digest.update((header + "\n".join(doc.tokens) + "\n").encode("utf-8"))
+        return digest.hexdigest()
+
 
 def _make_corpus(docs, skipped=0) -> LabeledCorpus:
     return LabeledCorpus(
@@ -152,11 +168,6 @@ def remove_stopwords(tokens, stoplist=None) -> list[str]:
     if stoplist is None:
         stoplist = stopwords()
     return [t for t in tokens if t not in stoplist]
-
-
-def stem(token: str) -> str:
-    """Porter stem of a single lowercase token."""
-    return porter.stem(token)
 
 
 # Bound on the fixed-point memo: above one large corpus's distinct words plus

@@ -9,10 +9,9 @@ feature set from the retraining set (misclassified mail + support vectors
 
 from __future__ import annotations
 
-import hashlib
 import json
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 
 from . import features, metrics, svm
@@ -71,7 +70,6 @@ class TriggerDecision:
 
 @dataclass(frozen=True)
 class BatchResult:
-    index: int
     cm: metrics.ConfusionMatrix
     accuracy: float
     fpr: float | None
@@ -181,7 +179,6 @@ def evaluate_batch(state: FilterState, batch: LabeledCorpus):
         if pred != truth
     ]
     result = BatchResult(
-        index=batch.documents[0].arrival_index,
         cm=cm,
         accuracy=accuracy,
         fpr=fpr,
@@ -281,8 +278,22 @@ class BatchRecord:
     fnr: float | None
 
 
+SESSION_FORMAT = "driftfilter-session-1"
+
+
+def _json_value(obj):
+    """A dataclass as its field dict (no copies, unlike `asdict`), an enum
+    as its value."""
+    if isinstance(obj, Enum):
+        return obj.value
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
+
+
 @dataclass(frozen=True)
 class SessionReport:
+    """A session's outcome; `to_json` writes its fields as they are, so these
+    dataclasses are the session file's schema."""
+
     mode: str
     selector: str
     batches: tuple[BatchRecord, ...]
@@ -296,85 +307,34 @@ class SessionReport:
     truths: tuple[int, ...]
 
     def to_json(self) -> str:
-        payload = {
-            "format": "driftfilter-session-1",
-            "mode": self.mode,
-            "selector": self.selector,
-            "batches": [
-                {
-                    "index": b.index, "size": b.size,
-                    "tp": b.tp, "tn": b.tn, "fp": b.fp, "fn": b.fn,
-                    "accuracy": b.accuracy, "fpr": b.fpr, "fnr": b.fnr,
-                }
-                for b in self.batches
-            ],
-            "events": [
-                {
-                    "batch_index": e.batch_index,
-                    "generation": e.generation,
-                    "cause": e.cause.value,
-                    "replaced_features": e.replaced_features,
-                    "retrain_size": e.retrain_size,
-                    "cumulative_seen": e.cumulative_seen,
-                    "pre_accuracy": e.pre_accuracy,
-                    "post_accuracy": e.post_accuracy,
-                }
-                for e in self.events
-            ],
-            "final": json.loads(self.final.to_json()),
-            "avg_fpr": self.avg_fpr,
-            "avg_fnr": self.avg_fnr,
-            "partition_checksum": self.partition_checksum,
-            "halted": self.halted,
-            "scores": list(self.scores),
-            "truths": list(self.truths),
-        }
-        return json.dumps(payload, sort_keys=True)
+        payload = {"format": SESSION_FORMAT, **_json_value(self)}
+        return json.dumps(payload, sort_keys=True, default=_json_value)
 
     @classmethod
     def from_json(cls, text: str) -> "SessionReport":
-        payload = json.loads(text)
-        if payload.get("format") != "driftfilter-session-1":
-            raise DriftLoopError(
-                f"unrecognized session format: {payload.get('format')!r}"
-            )
-        final = metrics.MetricsReport(**payload["final"])
-        return cls(
-            mode=payload["mode"],
-            selector=payload["selector"],
-            batches=tuple(BatchRecord(**b) for b in payload["batches"]),
-            events=tuple(
-                RetrainEvent(
-                    batch_index=e["batch_index"],
-                    generation=e["generation"],
-                    cause=TriggerCause(e["cause"]),
-                    replaced_features=e["replaced_features"],
-                    retrain_size=e["retrain_size"],
-                    cumulative_seen=e["cumulative_seen"],
-                    pre_accuracy=e["pre_accuracy"],
-                    post_accuracy=e["post_accuracy"],
-                )
-                for e in payload["events"]
-            ),
-            final=final,
-            avg_fpr=payload["avg_fpr"],
-            avg_fnr=payload["avg_fnr"],
-            partition_checksum=payload["partition_checksum"],
-            halted=payload["halted"],
-            scores=tuple(payload["scores"]),
-            truths=tuple(payload["truths"]),
-        )
+        try:
+            payload = json.loads(text)
+            found = payload.pop("format", None)
+            if found != SESSION_FORMAT:
+                raise DriftLoopError(f"unrecognized session format: {found!r}")
+            return cls(**{
+                **payload,
+                "batches": tuple(BatchRecord(**b) for b in payload["batches"]),
+                "events": tuple(
+                    RetrainEvent(**{**e, "cause": TriggerCause(e["cause"])})
+                    for e in payload["events"]
+                ),
+                "final": metrics.MetricsReport(**payload["final"]),
+                "scores": tuple(payload["scores"]),
+                "truths": tuple(payload["truths"]),
+            })
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise DriftLoopError(f"malformed session report: {exc!r}") from None
 
 
 def partition_checksum(partition: StreamPartition) -> str:
-    """Stable digest of the partition's document ids, labels, and boundaries."""
-    digest = hashlib.sha256()
-    for doc in partition.training.documents:
-        digest.update(f"T {doc.id} {doc.label.value}\n".encode("utf-8"))
-    for k, batch in enumerate(partition.test_batches):
-        for doc in batch.documents:
-            digest.update(f"B{k} {doc.id} {doc.label.value}\n".encode("utf-8"))
-    return digest.hexdigest()
+    """See `StreamPartition.checksum`."""
+    return partition.checksum
 
 
 def _mean_or_none(values) -> float | None:

@@ -81,9 +81,6 @@ class FeatureSet:
     def __len__(self) -> int:
         return len(self.features)
 
-    def __contains__(self, term: str) -> bool:
-        return term in self.index
-
 
 def _check_entries(keys: np.ndarray, weights: np.ndarray) -> None:
     if len(keys) != len(weights):
@@ -141,9 +138,6 @@ class SparseVector:
 
     def __hash__(self) -> int:
         return hash((self.positions.tobytes(), self.weights.tobytes(), self.feature_tag))
-
-    def l2_norm(self) -> float:
-        return math.sqrt(self.weights @ self.weights)
 
 
 def _token_ids(docs):
@@ -229,24 +223,24 @@ def _build_feature_set(scored, n: int) -> FeatureSet:
 
 
 def select_top_n(counts: CorpusCounts, n: int) -> FeatureSet:
-    """Top-n features by discriminative weight, ties broken by term.
+    """Top-n features by discriminative weight (see `select_top_n_scored`)."""
+    if counts.n_spam == 0 or counts.n_legit == 0:
+        raise FeatureError("discriminative weights require both classes present")
+    return select_top_n_scored(
+        {
+            term: tfdcr_weight(fc, counts.n_spam, counts.n_legit)
+            for term, fc in counts.counts.items()
+        },
+        n,
+    )
+
+
+def select_top_n_scored(scores: dict[str, float], n: int) -> FeatureSet:
+    """Top-n features of a term -> score map, ties broken by term.
 
     When the vocabulary is smaller than n the feature set takes the
     vocabulary size as its dimensionality.
     """
-    if n < 1:
-        raise FeatureError(f"n must be >= 1, got {n}")
-    if counts.n_spam == 0 or counts.n_legit == 0:
-        raise FeatureError("discriminative weights require both classes present")
-    scored = [
-        ScoredFeature(term, tfdcr_weight(fc, counts.n_spam, counts.n_legit))
-        for term, fc in counts.counts.items()
-    ]
-    return _build_feature_set(scored, n)
-
-
-def select_top_n_scored(scores: dict[str, float], n: int) -> FeatureSet:
-    """Top-n features from an arbitrary score map (baseline selectors)."""
     if n < 1:
         raise FeatureError(f"n must be >= 1, got {n}")
     scored = [ScoredFeature(term, score) for term, score in scores.items()]
@@ -397,22 +391,3 @@ def update_feature_set(
     survivors = sorted(incumbents, key=lambda sf: (sf.weight, sf.term))[replaced:]
     merged = survivors + additions
     return _build_feature_set(merged, len(merged)), replaced
-
-
-def save_feature_set(fs: FeatureSet, path) -> None:
-    """Write `term<TAB>weight` lines (UTF-8, LF, shortest-round-trip floats)."""
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        for sf in fs.features:
-            handle.write(f"{sf.term}\t{sf.weight!r}\n")
-
-
-def load_feature_set(path) -> FeatureSet:
-    features = []
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            term, _, weight = line.partition("\t")
-            features.append(ScoredFeature(term, float(weight)))
-    return FeatureSet(tuple(features))

@@ -6,7 +6,6 @@ fp counts legitimate mail classified as spam (the costlier error).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -135,11 +134,6 @@ class MetricsReport:
     precision_legit: float
     recall_legit: float
 
-    CSV_COLUMNS = (
-        "accuracy", "fpr", "fnr", "micro_f1", "macro_f1", "mcc",
-        "precision_spam", "recall_spam", "precision_legit", "recall_legit",
-    )
-
     @classmethod
     def from_confusion(cls, cm: ConfusionMatrix) -> "MetricsReport":
         accuracy, fpr, fnr = rates(cm)
@@ -147,19 +141,6 @@ class MetricsReport:
         p_s, r_s = precision_recall(cm, positive=1)
         p_l, r_l = precision_recall(cm, positive=-1)
         return cls(accuracy, fpr, fnr, micro, macro, mcc(cm), p_s, r_s, p_l, r_l)
-
-    def csv_row(self) -> str:
-        cells = []
-        for column in self.CSV_COLUMNS:
-            value = getattr(self, column)
-            cells.append("" if value is None else repr(value))
-        return ",".join(cells)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {column: getattr(self, column) for column in self.CSV_COLUMNS},
-            sort_keys=True,
-        )
 
 
 def roc_points(scores, truths) -> list[tuple[float, float]]:

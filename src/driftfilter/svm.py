@@ -12,7 +12,6 @@ nonzero columns and kept in an LRU cache.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 from collections import OrderedDict
@@ -74,26 +73,9 @@ class SvmModel:
     objective: float
 
 
-@dataclass(frozen=True)
-class Prediction:
-    score: float
-    label: int  # +1 spam, -1 legitimate; a zero score maps to legitimate
-
-
 def _rbf(gamma: float, sq_x, sq_y, dot):
     """exp(-gamma * ||x - y||^2) from the squared norms and the dot product."""
     return np.exp(-gamma * (sq_x + sq_y - 2.0 * dot))
-
-
-def kernel_eval(config: TrainConfig, x: SparseVector, y: SparseVector) -> float:
-    """Kernel value between two sparse vectors."""
-    _, ix, iy = np.intersect1d(
-        x.positions, y.positions, assume_unique=True, return_indices=True
-    )
-    dot = float(x.weights[ix] @ y.weights[iy])
-    if config.kernel == "linear":
-        return dot
-    return float(_rbf(config.gamma, x.weights @ x.weights, y.weights @ y.weights, dot))
 
 
 def _flat_entries(vectors) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -165,6 +147,11 @@ class _SmoSolver:
         up = y > 0
         low = ~up
         cap = self.config.max_passes * self.n
+        # The tracked scores carry rounding errors of a few ulps, so a gap
+        # that equals the tolerance in real arithmetic can read just below
+        # it. Closing the gap below the tolerance by a relative 1e-9 makes
+        # the returned model meet the tolerance, not only to rounding.
+        stop = self.config.kkt_tolerance * (1.0 - 1e-9)
         steps = 0
         while True:
             up_scores = np.where(up, score, -np.inf)
@@ -172,7 +159,7 @@ class _SmoSolver:
             m = up_scores[i]
             low_scores = np.where(low, score, np.inf)
             M = low_scores.min()
-            converged = m - M < self.config.kkt_tolerance
+            converged = m - M < stop
             if converged or steps >= cap:
                 break
             row_i = self.kernel.row(i)
@@ -258,19 +245,6 @@ def train_smo(vectors, labels, config: TrainConfig, doc_ids=None) -> SvmModel:
     )
 
 
-def _check_tags(model: SvmModel, vectors) -> None:
-    if model.feature_tag is not None and any(
-        vec.feature_tag not in (None, model.feature_tag) for vec in vectors
-    ):
-        raise SvmError("vector was built against a different feature set")
-
-
-def predict(model: SvmModel, x: SparseVector) -> Prediction:
-    """Signed decision value and label for one vector."""
-    score = decision_scores(model, [x])[0]
-    return Prediction(score=score, label=1 if score > 0 else -1)
-
-
 def weight_vector(model: SvmModel) -> np.ndarray:
     """Explicit normal vector of the separating plane (linear kernel only)."""
     if model.config.kernel != "linear":
@@ -290,13 +264,17 @@ def _dense(vectors, dim: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def decision_scores(model: SvmModel, vectors) -> list[float]:
-    """Decision values bias + sum over SVs of alpha*y*K(sv, x), for many vectors.
+    """Decision values bias + sum over SVs of alpha*y*K(sv, x), for many
+    vectors; a positive value classifies as spam.
 
     Linear models use the weight vector; RBF models one kernel matrix
     between the batch and the support vectors.
     """
     vectors = list(vectors)
-    _check_tags(model, vectors)
+    if model.feature_tag is not None and any(
+        vec.feature_tag not in (None, model.feature_tag) for vec in vectors
+    ):
+        raise SvmError("vector was built against a different feature set")
     if model.config.kernel != "linear":
         X, sq_x = _dense(vectors, model.dim)
         S, sq_s = _dense(model.sv_vectors, model.dim)
@@ -311,126 +289,3 @@ def decision_scores(model: SvmModel, vectors) -> list[float]:
     bins = np.concatenate((np.arange(k), owner[known]))
     terms = np.concatenate((np.full(k, model.bias), w[position[known]] * weight[known]))
     return np.bincount(bins, weights=terms, minlength=k).tolist()
-
-
-def support_vectors(model: SvmModel) -> list[tuple[str, float, int]]:
-    """(doc_id, alpha, label) for every stored support vector."""
-    return list(zip(model.sv_doc_ids, model.alphas, model.sv_labels))
-
-
-def kkt_violations(vectors, labels, model: SvmModel, doc_ids=None) -> list[float]:
-    """Per-example KKT violation magnitudes of a trained model.
-
-    Examples with alpha == 0 must reach margin >= 1, bound examples
-    (alpha == C) must not exceed margin 1, and interior ones must sit on
-    the margin.
-    """
-    vectors = list(vectors)
-    if doc_ids is None:
-        doc_ids = [str(i) for i in range(len(vectors))]
-    alpha_by_id = dict(zip(model.sv_doc_ids, model.alphas))
-    scores = decision_scores(model, vectors)
-    eps = model.config.alpha_epsilon
-    C = model.config.C
-    violations = []
-    for doc_id, label, score in zip(doc_ids, labels, scores):
-        alpha = alpha_by_id.get(str(doc_id), 0.0)
-        margin = label * score
-        if alpha <= eps:
-            violations.append(max(0.0, 1.0 - margin))
-        elif alpha >= C - eps:
-            violations.append(max(0.0, margin - 1.0))
-        else:
-            violations.append(abs(margin - 1.0))
-    return violations
-
-
-def dual_objective(vectors, labels, alphas, config: TrainConfig) -> float:
-    """Value of the dual objective for given multipliers (direct evaluation)."""
-    vectors = list(vectors)
-    n = len(vectors)
-    total = float(sum(alphas))
-    for i in range(n):
-        if alphas[i] == 0.0:
-            continue
-        for j in range(n):
-            if alphas[j] == 0.0:
-                continue
-            total -= 0.5 * (
-                alphas[i] * alphas[j] * labels[i] * labels[j]
-                * kernel_eval(config, vectors[i], vectors[j])
-            )
-    return total
-
-
-def model_to_json(model: SvmModel) -> str:
-    """Deterministic text dump; round-trips bit-exactly through json."""
-    payload = {
-        "format": "driftfilter-svm-1",
-        "config": {
-            "C": model.config.C,
-            "kernel": model.config.kernel,
-            "gamma": model.config.gamma,
-            "kkt_tolerance": model.config.kkt_tolerance,
-            "alpha_epsilon": model.config.alpha_epsilon,
-            "max_passes": model.config.max_passes,
-        },
-        "bias": model.bias,
-        "dim": model.dim,
-        "feature_tag": model.feature_tag,
-        "converged": model.converged,
-        "passes": model.passes,
-        "objective": model.objective,
-        "support_vectors": [
-            {
-                "doc_id": doc_id,
-                "label": label,
-                "alpha": alpha,
-                "entries": [[p, w] for p, w in vec.entries],
-                "vector_tag": vec.feature_tag,
-            }
-            for doc_id, label, alpha, vec in zip(
-                model.sv_doc_ids, model.sv_labels, model.alphas, model.sv_vectors
-            )
-        ],
-    }
-    return json.dumps(payload, sort_keys=True)
-
-
-def model_from_json(text: str) -> SvmModel:
-    payload = json.loads(text)
-    if payload.get("format") != "driftfilter-svm-1":
-        raise SvmError(f"unrecognized model dump format: {payload.get('format')!r}")
-    config = TrainConfig(**payload["config"])
-    svs = payload["support_vectors"]
-    return SvmModel(
-        alphas=tuple(sv["alpha"] for sv in svs),
-        sv_labels=tuple(sv["label"] for sv in svs),
-        sv_vectors=tuple(
-            SparseVector(
-                [p for p, _ in sv["entries"]],
-                [w for _, w in sv["entries"]],
-                sv["vector_tag"],
-            )
-            for sv in svs
-        ),
-        sv_doc_ids=tuple(sv["doc_id"] for sv in svs),
-        bias=payload["bias"],
-        config=config,
-        dim=payload["dim"],
-        feature_tag=payload["feature_tag"],
-        converged=payload["converged"],
-        passes=payload["passes"],
-        objective=payload["objective"],
-    )
-
-
-def save_model(model: SvmModel, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(model_to_json(model))
-        handle.write("\n")
-
-
-def load_model(path) -> SvmModel:
-    with open(path, encoding="utf-8") as handle:
-        return model_from_json(handle.read())

@@ -202,6 +202,64 @@ def qp_scores(X_train, y, alpha, bias, X_eval):
 
 
 # ---------------------------------------------------------------------------
+# SVM kernel, dual objective and KKT conditions, one pair at a time
+
+
+def kernel_eval(config, x, y):
+    """Kernel value of two sparse vectors from their (position, weight) pairs:
+    the dot product, or exp(-gamma * squared distance) for rbf."""
+    xs, ys = dict(x.entries), dict(y.entries)
+    if config.kernel == "linear":
+        return sum(w * ys[p] for p, w in xs.items() if p in ys)
+    distance = sum(
+        (xs.get(p, 0.0) - ys.get(p, 0.0)) ** 2 for p in set(xs) | set(ys)
+    )
+    return math.exp(-config.gamma * distance)
+
+
+def dual_objective(vectors, labels, alphas, config):
+    """sum(a) - 1/2 sum_ij a_i a_j y_i y_j K(x_i, x_j), term by term."""
+    total = float(sum(alphas))
+    for a_i, y_i, x_i in zip(alphas, labels, vectors):
+        for a_j, y_j, x_j in zip(alphas, labels, vectors):
+            if a_i and a_j:
+                total -= 0.5 * a_i * a_j * y_i * y_j * kernel_eval(config, x_i, x_j)
+    return total
+
+
+def svm_score(model, x):
+    """bias + sum over support vectors of alpha * y * K(sv, x)."""
+    score = model.bias
+    for alpha, label, sv in zip(model.alphas, model.sv_labels, model.sv_vectors):
+        score += alpha * label * kernel_eval(model.config, sv, x)
+    return score
+
+
+def kkt_violations(vectors, labels, model, doc_ids=None):
+    """Per-example KKT violation of a trained model.
+
+    An example with alpha == 0 must reach margin >= 1, a bound one
+    (alpha == C) must not exceed margin 1, and a free one must sit on it.
+    Multipliers are looked up by document id (default: the index).
+    """
+    if doc_ids is None:
+        doc_ids = [str(i) for i in range(len(vectors))]
+    alpha_by_id = dict(zip(model.sv_doc_ids, model.alphas))
+    eps, C = model.config.alpha_epsilon, model.config.C
+    violations = []
+    for doc_id, label, x in zip(doc_ids, labels, vectors):
+        alpha = alpha_by_id.get(str(doc_id), 0.0)
+        margin = label * svm_score(model, x)
+        if alpha <= eps:
+            violations.append(max(0.0, 1.0 - margin))
+        elif alpha >= C - eps:
+            violations.append(max(0.0, margin - 1.0))
+        else:
+            violations.append(abs(margin - 1.0))
+    return violations
+
+
+# ---------------------------------------------------------------------------
 # Pairwise-comparison AUC
 
 

@@ -2,6 +2,8 @@ import math
 import random
 import re
 import string
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -11,7 +13,7 @@ from driftfilter import corpus, porter
 from driftfilter.corpus import (
     CorpusError, Document, Label, LabeledCorpus, load_ecml, load_enron,
     load_pu, partition_stream, preprocess_text, remove_stopwords, split_batches,
-    stem, stopwords, synth_drift, tokenize, write_enron_layout,
+    stopwords, synth_drift, tokenize, write_enron_layout,
 )
 
 from conftest import make_doc, make_corpus
@@ -72,9 +74,9 @@ class TestStopwords:
 
 class TestStem:
     def test_examples(self):
-        assert stem("caresses") == "caress"
-        assert stem("ponies") == "poni"
-        assert stem("cat") == "cat"
+        assert porter.stem("caresses") == "caress"
+        assert porter.stem("ponies") == "poni"
+        assert porter.stem("cat") == "cat"
 
 
 def _fixpoint_by_loop(word):
@@ -255,6 +257,46 @@ class TestLoadPu:
         assert len(c.documents) == 1
 
 
+# One defect per kind: the pair or label marker it puts on a line, and the
+# phrase its error names. Counts stay in 0-5: load_ecml expands each count
+# into that many tokens.
+_ECML_DEFECTS = {
+    "label": (st.sampled_from(("0", "2", "+1", "--1", "1.0", "spam")), "label marker"),
+    "no_colon": (st.integers(0, 99).map(str), "malformed pair"),
+    "empty_id": (st.integers(0, 5).map(lambda c: f":{c}"), "malformed pair"),
+    "non_integer": (
+        st.sampled_from(("x", "1.5", "", "3a", "0x1")).map(lambda c: f"7:{c}"),
+        "malformed count",
+    ),
+    "negative": (st.integers(1, 5).map(lambda c: f"7:-{c}"), "negative count"),
+}
+_ECML_LINE = st.one_of(
+    st.just(""),
+    st.builds(
+        lambda label, pairs: " ".join([label] + [f"{i}:{c}" for i, c in pairs]),
+        st.sampled_from(("1", "-1")),
+        st.lists(st.tuples(st.integers(0, 99), st.integers(0, 5)), max_size=5),
+    ),
+)
+
+
+@st.composite
+def _ecml_with_one_defect(draw):
+    """Lines of a valid ecml file (blank ones included), one of them broken;
+    returns the lines, the broken line's number and the expected phrase."""
+    lines = draw(st.lists(_ECML_LINE, min_size=1, max_size=8))
+    k = draw(st.integers(0, len(lines) - 1))
+    kind = draw(st.sampled_from(sorted(_ECML_DEFECTS)))
+    token, phrase = _ECML_DEFECTS[kind]
+    parts = draw(_ECML_LINE.filter(bool)).split()
+    if kind == "label":
+        parts[0] = draw(token)
+    else:
+        parts.insert(draw(st.integers(1, len(parts))), draw(token))
+    lines[k] = " ".join(parts)
+    return lines, k + 1, phrase
+
+
 class TestLoadEcml:
     def test_line_expansion(self, tmp_path):
         path = tmp_path / "train.dat"
@@ -282,6 +324,18 @@ class TestLoadEcml:
         path.write_text("2 12:3\n", encoding="utf-8")
         with pytest.raises(CorpusError, match="label"):
             load_ecml(path)
+
+    @given(_ecml_with_one_defect())
+    def test_one_defect_names_file_and_line(self, case):
+        lines, line_no, phrase = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "mail.dat"
+            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            with pytest.raises(CorpusError) as raised:
+                load_ecml(path)
+        message = str(raised.value)
+        assert message.startswith(f"{path}:{line_no}:")
+        assert phrase in message
 
 
 def _numbered_corpus(n):

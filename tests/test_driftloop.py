@@ -1,5 +1,7 @@
+import json
 import random
 import uuid
+from dataclasses import replace
 
 import pytest
 
@@ -95,7 +97,7 @@ class TestRunBatchPhase:
         a = run_batch_phase(corpus_, small_config(n=8))
         b = run_batch_phase(corpus_, small_config(n=8))
         assert a.feature_set == b.feature_set
-        assert svm.model_to_json(a.model) == svm.model_to_json(b.model)
+        assert a.model == b.model
         assert a.sv_documents == b.sv_documents
 
     def test_sv_documents_match_model(self):
@@ -334,7 +336,10 @@ class TestRunSession:
             partition = partition_stream(copy, 1 / 3, 5)
             reports.append(run_session(partition, config, SessionMode.INCREMENTAL))
         assert reports[0].events
-        assert reports[0].to_json() == reports[1].to_json()
+        # The checksum digests the tokens, which carry different prefixes.
+        assert reports[0].partition_checksum != reports[1].partition_checksum
+        same = [replace(r, partition_checksum="").to_json() for r in reports]
+        assert same[0] == same[1]
 
     def test_report_round_trip(self):
         stream = synth_drift(4, vocab_size=120, docs_per_phase=100, overlap=0.2)
@@ -342,7 +347,58 @@ class TestRunSession:
         report = run_session(partition, small_config(n=60), SessionMode.INCREMENTAL)
         text = report.to_json()
         restored = driftloop.SessionReport.from_json(text)
+        assert restored == report
         assert restored.to_json() == text
+
+    def test_unknown_session_format_rejected(self):
+        with pytest.raises(DriftLoopError, match="session format"):
+            driftloop.SessionReport.from_json('{"format": "something-else"}')
+
+    @pytest.mark.parametrize("edit", [
+        lambda p: p.pop("final"),
+        lambda p: p.update(extra=1),
+        lambda p: p["events"].append({"cause": "no-such-cause"}),
+    ], ids=["missing", "unknown", "ill_typed"])
+    def test_malformed_session_rejected(self, edit):
+        stream = synth_drift(4, vocab_size=120, docs_per_phase=100, overlap=0.2)
+        partition = partition_stream(stream, 1 / 3, 4)
+        payload = json.loads(run_session(partition, small_config(n=60),
+                                         SessionMode.BATCH).to_json())
+        edit(payload)
+        with pytest.raises(DriftLoopError, match="malformed session report"):
+            driftloop.SessionReport.from_json(json.dumps(payload))
+
+    @pytest.mark.parametrize("text", ["not json", "[1]", '"text"'])
+    def test_unreadable_session_rejected(self, text):
+        with pytest.raises(DriftLoopError, match="malformed session report"):
+            driftloop.SessionReport.from_json(text)
+
+
+class TestPartitionChecksum:
+    @staticmethod
+    def _partition(seed):
+        stream = synth_drift(seed, vocab_size=120, docs_per_phase=100, overlap=0.2)
+        return partition_stream(stream, 1 / 3, 4)
+
+    def test_seeds_with_equal_ids_and_labels_differ(self):
+        a, b = self._partition(1000), self._partition(1001)
+        # Only the tokens tell these partitions apart.
+        for x, y in zip((a.training,) + a.test_batches, (b.training,) + b.test_batches):
+            assert [(d.id, d.label) for d in x.documents] == [
+                (d.id, d.label) for d in y.documents
+            ]
+        assert driftloop.partition_checksum(a) != driftloop.partition_checksum(b)
+
+    def test_stable_and_sensitive_to_one_token(self):
+        partition = self._partition(7)
+        checksum = driftloop.partition_checksum(partition)
+        assert driftloop.partition_checksum(self._partition(7)) == checksum
+        doc = partition.test_batches[-1].documents[-1]
+        changed = Document(doc.id, doc.label, doc.tokens[:-1] + ("other",),
+                           doc.arrival_index)
+        last = LabeledCorpus(partition.test_batches[-1].documents[:-1] + (changed,))
+        edited = replace(partition, test_batches=partition.test_batches[:-1] + (last,))
+        assert driftloop.partition_checksum(edited) != checksum
 
 
 class TestDriftConfig:
