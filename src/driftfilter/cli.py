@@ -26,6 +26,7 @@ from . import corpus, driftloop, features, metrics, svm
 logger = logging.getLogger(__name__)
 
 FORMATS = ("enron", "pu", "ecml", "synth")
+_TEST_PATH_ECML_ONLY = "test_path binding is supported for the ecml format"
 
 
 class CliError(Exception):
@@ -82,6 +83,8 @@ class RunConfig:
             raise CliError(f"synth_overlap must be in [0,1], got {self.synth_overlap}")
         if self.format != "synth" and not self.dataset and not self.manifest:
             raise CliError("dataset path is required (or provide a manifest)")
+        if self.test_path and self.format != "ecml" and not self.manifest:
+            raise CliError(_TEST_PATH_ECML_ONLY)
         return self
 
 
@@ -171,7 +174,7 @@ def dump_config(config: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _drift_config(config: RunConfig, selector: str | None = None) -> driftloop.DriftConfig:
+def _drift_config(config: RunConfig, selector: str) -> driftloop.DriftConfig:
     return driftloop.DriftConfig(
         rho=config.rho,
         fpr_trigger=driftloop.FprTrigger(config.fpr_trigger),
@@ -179,7 +182,7 @@ def _drift_config(config: RunConfig, selector: str | None = None) -> driftloop.D
         train_config=svm.TrainConfig(
             C=config.c, kernel=config.kernel, gamma=config.gamma
         ),
-        selector=selector or config.selector,
+        selector=selector,
     )
 
 
@@ -209,6 +212,8 @@ def read_manifest(path) -> list[DatasetEntry]:
             if fmt not in FORMATS:
                 raise CliError(f"{path}:{line_no}: unknown format {fmt!r}")
             test_path = parts[3] if len(parts) == 4 else None
+            if test_path and fmt != "ecml":
+                raise CliError(f"{path}:{line_no}: {_TEST_PATH_ECML_ONLY}")
             entries.append(DatasetEntry(
                 name=name,
                 format=fmt,
@@ -224,8 +229,7 @@ def _dataset_entries(config: RunConfig) -> list[DatasetEntry]:
     if config.manifest:
         return read_manifest(config.manifest)
     if config.format == "synth":
-        return [DatasetEntry(name="synth", format="synth", path=None,
-                             test_path=config.test_path)]
+        return [DatasetEntry(name="synth", format="synth", path=None)]
     name = Path(config.dataset).stem or Path(config.dataset).name
     return [DatasetEntry(name=name, format=config.format, path=config.dataset,
                          test_path=config.test_path)]
@@ -257,14 +261,12 @@ def _shift_arrivals(docs, offset: int):
 def build_partition(entry: DatasetEntry, config: RunConfig) -> corpus.StreamPartition:
     """Training/test split for one dataset entry.
 
-    With a bound test file (two-file datasets) the first corpus trains and
-    the second is batched; otherwise the configured fraction splits one
+    With a bound test file (two-file ecml datasets) the first corpus trains
+    and the second is batched; otherwise the configured fraction splits one
     corpus, chronologically when the format preserves arrival order.
     """
     training = _load_corpus(entry, config)
     if entry.test_path:
-        if entry.format != "ecml":
-            raise CliError("test_path binding is supported for the ecml format")
         test = corpus.load_ecml(entry.test_path)
         offset = len(training.documents)
         batches = corpus.split_batches(
@@ -330,77 +332,56 @@ def _table_row(name: str, selector: str, report: driftloop.SessionReport) -> dic
     }
 
 
+def _write_roc(report: driftloop.SessionReport, path: Path) -> None:
+    """The session's ROC curve, when its truths hold both classes."""
+    if len(set(report.truths)) == 2:
+        points = metrics.roc_points(report.scores, report.truths)
+        metrics.write_roc_tsv(points, path)
+    else:
+        logger.warning("skipping ROC for %s: single-class truths", path.name)
+
+
 def _emit_session_files(name, selector, report, out_dir: Path) -> None:
     stem = f"{name}_{selector}_{report.mode}"
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / f"{stem}.session.json").write_text(
         report.to_json() + "\n", encoding="utf-8"
     )
-    truths = set(report.truths)
-    if len(truths) == 2:
-        points = metrics.roc_points(report.scores, report.truths)
-        metrics.write_roc_tsv(points, out_dir / f"{stem}.roc.tsv")
-    else:
-        logger.warning("skipping ROC for %s: single-class truths", stem)
+    _write_roc(report, out_dir / f"{stem}.roc.tsv")
 
 
-def _run_one(entry, config, selector, mode, out_dir) -> dict:
-    partition = build_partition(entry, config)
-    report = driftloop.run_session(
-        partition, _drift_config(config, selector), driftloop.SessionMode(mode)
-    )
-    _emit_session_files(entry.name, selector, report, out_dir)
-    return _table_row(entry.name, selector, report)
+def run_experiment(config: RunConfig, out_dir: Path) -> ExperimentTable:
+    """Run the experiment's selector x mode sessions on each dataset entry.
 
-
-def run_experiment1(config: RunConfig, out_dir: Path) -> ExperimentTable:
-    """Batch-mode comparison of all six selectors on each dataset."""
-    if config.mode != "batch":
-        raise CliError("experiment 1 requires mode = batch")
+    Experiment 1 compares every selector in batch mode, experiment 2 runs
+    batch and incremental sessions of the configured selector, and `single`
+    runs the configured selector and mode. The sessions of one entry share
+    its partition and training counts; the modes of one selector share
+    Pass I, which is deterministic.
+    """
+    selectors, modes = (config.selector,), (config.mode,)
+    if config.experiment == "1":
+        if config.mode != "batch":
+            raise CliError("experiment 1 requires mode = batch")
+        selectors = features.SELECTORS
+    elif config.experiment == "2":
+        modes = ("batch", "incremental")
     rows = []
     for entry in _dataset_entries(config):
         partition = build_partition(entry, config)
-        # Every selector scores the same training counts.
         counts = features.count_stats(partition.training)
-        for selector in features.SELECTORS:
+        first = len(rows)
+        for selector in selectors:
             drift_config = _drift_config(config, selector)
             state = driftloop.run_batch_phase(partition.training, drift_config, counts)
-            report = driftloop.run_session(
-                partition, drift_config, driftloop.SessionMode.BATCH, state
-            )
-            _emit_session_files(entry.name, selector, report, out_dir)
-            rows.append(_table_row(entry.name, selector, report))
-    return ExperimentTable(tuple(rows))
-
-
-def run_experiment2(config: RunConfig, out_dir: Path) -> ExperimentTable:
-    """Paired batch and incremental sessions on the identical partition."""
-    rows = []
-    for entry in _dataset_entries(config):
-        partition = build_partition(entry, config)
-        drift_config = _drift_config(config)
-        # Pass I is deterministic, so both modes start from one solve.
-        state = driftloop.run_batch_phase(partition.training, drift_config)
-        reports = {}
-        for mode in (driftloop.SessionMode.BATCH, driftloop.SessionMode.INCREMENTAL):
-            report = driftloop.run_session(partition, drift_config, mode, state)
-            reports[mode] = report
-            _emit_session_files(entry.name, config.selector, report, out_dir)
-            rows.append(_table_row(entry.name, config.selector, report))
-        batch_sum = reports[driftloop.SessionMode.BATCH].partition_checksum
-        incr_sum = reports[driftloop.SessionMode.INCREMENTAL].partition_checksum
-        if batch_sum != incr_sum:
-            raise CliError(
-                f"paired sessions consumed different partitions for {entry.name}"
-            )
-    return ExperimentTable(tuple(rows))
-
-
-def run_single(config: RunConfig, out_dir: Path) -> ExperimentTable:
-    rows = [
-        _run_one(entry, config, config.selector, config.mode, out_dir)
-        for entry in _dataset_entries(config)
-    ]
+            for mode in modes:
+                report = driftloop.run_session(
+                    partition, drift_config, driftloop.SessionMode(mode), state
+                )
+                _emit_session_files(entry.name, selector, report, out_dir)
+                rows.append(_table_row(entry.name, selector, report))
+        if len({row["partition_checksum"] for row in rows[first:]}) > 1:
+            raise CliError(f"sessions consumed different partitions for {entry.name}")
     return ExperimentTable(tuple(rows))
 
 
@@ -438,12 +419,7 @@ def _add_key_flags(parser: argparse.ArgumentParser, keys) -> None:
 def _cmd_run(args) -> int:
     config = parse_config(args.config, _overrides_from_args(args))
     out_dir = Path(config.output_dir)
-    if config.experiment == "1":
-        table = run_experiment1(config, out_dir)
-    elif config.experiment == "2":
-        table = run_experiment2(config, out_dir)
-    else:
-        table = run_single(config, out_dir)
+    table = run_experiment(config, out_dir)
     emit_report(table, out_dir)
     print(f"wrote {len(table.rows)} result rows to {out_dir}")
     return 0
@@ -473,9 +449,7 @@ def _cmd_report(args) -> int:
     dataset = stem.removesuffix(suffix)
     table = ExperimentTable((_table_row(dataset, report.selector, report),))
     emit_report(table, out_dir)
-    if len(set(report.truths)) == 2:
-        points = metrics.roc_points(report.scores, report.truths)
-        metrics.write_roc_tsv(points, out_dir / f"{dataset}{suffix}.roc.tsv")
+    _write_roc(report, out_dir / f"{dataset}{suffix}.roc.tsv")
     print(f"re-rendered {args.session} into {out_dir}")
     return 0
 

@@ -216,8 +216,22 @@ def preprocess_text(raw_text: str, stoplist=None) -> list[str]:
     return [s for s in stems if len(s) >= 2 and not s.isdigit() and s not in stoplist]
 
 
-def _read_lossy(path: Path) -> str:
-    return path.read_text(encoding="utf-8", errors="replace")
+def _read_documents(entries, skipped: int) -> LabeledCorpus:
+    """Read and preprocess `(id, label, path)` entries, given in arrival order.
+
+    Unreadable files are skipped with a warning and counted on top of
+    `skipped`; arrival_index is the rank among the files kept.
+    """
+    docs = []
+    for doc_id, label, path in entries:
+        try:
+            text = path.read_text(encoding="utf-8", errors="replace")
+        except OSError as exc:
+            logger.warning("skipping unreadable file %s: %s", path, exc)
+            skipped += 1
+            continue
+        docs.append(Document(doc_id, label, tuple(preprocess_text(text)), len(docs)))
+    return LabeledCorpus(tuple(docs), skipped)
 
 
 def load_enron(dir_path) -> LabeledCorpus:
@@ -238,31 +252,9 @@ def load_enron(dir_path) -> LabeledCorpus:
             continue
         for path in sub.iterdir():
             if path.is_file():
-                entries.append((path.name, subdir, label, path))
-    entries.sort(key=lambda e: (e[0], e[1]))
-    docs, skipped = [], 0
-    for arrival, (name, subdir, label, path) in enumerate(entries):
-        try:
-            text = _read_lossy(path)
-        except OSError as exc:
-            logger.warning("skipping unreadable file %s: %s", path, exc)
-            skipped += 1
-            continue
-        docs.append(Document(
-            id=f"{subdir}/{name}",
-            label=label,
-            tokens=tuple(preprocess_text(text)),
-            arrival_index=arrival,
-        ))
-    return _make_corpus(_reindex(docs), skipped)
-
-
-def _reindex(docs):
-    # Skipped files leave holes; arrival_index is the rank among kept docs.
-    return [
-        Document(d.id, d.label, d.tokens, i)
-        for i, d in enumerate(sorted(docs, key=lambda d: d.arrival_index))
-    ]
+                entries.append((f"{subdir}/{path.name}", label, path))
+    entries.sort(key=lambda e: (e[2].name, e[2].parent.name))
+    return _read_documents(entries, 0)
 
 
 def load_pu(dir_path, spam_pattern: str = "spmsg", legit_pattern: str = "msg") -> LabeledCorpus:
@@ -281,36 +273,22 @@ def load_pu(dir_path, spam_pattern: str = "spmsg", legit_pattern: str = "msg") -
     folds = sorted(p for p in root.iterdir() if p.is_dir())
     if not folds:
         folds = [root]
-    entries = []
+    entries, skipped = [], 0
     for fold in folds:
         for path in sorted(fold.iterdir()):
-            if path.is_file():
-                entries.append((fold.name if fold != root else "", path))
-    docs, skipped = [], 0
-    arrival = 0
-    for fold_name, path in entries:
-        if spam_re.search(path.name):
-            label = Label.SPAM
-        elif legit_re.search(path.name):
-            label = Label.LEGITIMATE
-        else:
-            logger.warning("skipping file with unrecognized name: %s", path)
-            skipped += 1
-            continue
-        try:
-            text = _read_lossy(path)
-        except OSError as exc:
-            logger.warning("skipping unreadable file %s: %s", path, exc)
-            skipped += 1
-            continue
-        docs.append(Document(
-            id=f"{fold_name}/{path.name}" if fold_name else path.name,
-            label=label,
-            tokens=tuple(preprocess_text(text)),
-            arrival_index=arrival,
-        ))
-        arrival += 1
-    return _make_corpus(docs, skipped)
+            if not path.is_file():
+                continue
+            if spam_re.search(path.name):
+                label = Label.SPAM
+            elif legit_re.search(path.name):
+                label = Label.LEGITIMATE
+            else:
+                logger.warning("skipping file with unrecognized name: %s", path)
+                skipped += 1
+                continue
+            doc_id = path.name if fold == root else f"{fold.name}/{path.name}"
+            entries.append((doc_id, label, path))
+    return _read_documents(entries, skipped)
 
 
 def load_ecml(file_path) -> LabeledCorpus:

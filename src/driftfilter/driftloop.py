@@ -80,7 +80,11 @@ class BatchResult:
 
 @dataclass
 class FilterState:
-    """The mutable filtering unit: current features, model, and bookkeeping."""
+    """The mutable filtering unit: current features, model, and bookkeeping.
+
+    `misclassified` and `batch_history` ((accuracy, fpr) per batch) cover
+    this generation only: a retrain starts both empty.
+    """
 
     generation: int
     feature_set: features.FeatureSet
@@ -259,8 +263,6 @@ def incremental_retrain(
         feature_set=fs_new,
         model=model,
         sv_documents=_sv_documents(model, rtrem.documents),
-        misclassified=[],
-        batch_history=list(state.batch_history),
     )
     return new_state, replaced, len(rtrem)
 
@@ -369,7 +371,6 @@ def run_session(
     all_truths: list[int] = []
     cumulative = metrics.ConfusionMatrix()
     seen = len(partition.training.documents)
-    window_start = 0
     halted = None
     for k, batch in enumerate(partition.test_batches):
         result, misclassified = evaluate_batch(state, batch)
@@ -386,9 +387,7 @@ def run_session(
         all_scores.extend(result.scores)
         all_truths.extend(result.truths)
         if mode is SessionMode.INCREMENTAL:
-            decision = check_validation(
-                state.batch_history[window_start:], config, batch_index=k
-            )
+            decision = check_validation(state.batch_history, config, batch_index=k)
             if decision.fired:
                 try:
                     state, replaced, retrain_size = incremental_retrain(
@@ -398,7 +397,6 @@ def run_session(
                     halted = str(exc)
                     logger.warning("session halted: %s", exc)
                     break
-                window_start = len(state.batch_history)
                 post_result, _ = evaluate_batch(state, batch)
                 events.append(RetrainEvent(
                     batch_index=k,

@@ -101,16 +101,23 @@ class _KernelTable:
         self.sq = np.bincount(owner, weights=weight * weight, minlength=n)
         self.diag = np.ones(n) if config.kernel == "rbf" else self.sq
         self.cache: OrderedDict[int, np.ndarray] = OrderedDict()
-        self.limit = max(16, (1 << 25) // n)  # roughly 256 MB of rows
+        self.limit = max(16, (1 << 25) // max(n, 1))  # roughly 256 MB of rows
+
+    def against(self, cols, vals, sq) -> np.ndarray:
+        """Kernel values of every stored example with the vector that has
+        weights `vals` at columns `cols` (all below `dim`) and squared norm
+        `sq`; they depend on that vector and the stored data only."""
+        row = vals @ self.XT[cols]
+        if self.config.kernel == "rbf":
+            row = _rbf(self.config.gamma, self.sq, sq, row)
+        return row
 
     def row(self, i: int) -> np.ndarray:
         row = self.cache.get(i)
         if row is not None:
             self.cache.move_to_end(i)
             return row
-        row = self.vals[i] @ self.XT[self.cols[i]]
-        if self.config.kernel == "rbf":
-            row = _rbf(self.config.gamma, self.sq, self.sq[i], row)
+        row = self.against(self.cols[i], self.vals[i], self.sq[i])
         if len(self.cache) >= self.limit:
             self.cache.popitem(last=False)
         self.cache[i] = row
@@ -254,21 +261,15 @@ def weight_vector(model: SvmModel) -> np.ndarray:
     return np.bincount(position, weights=coef[owner] * weight, minlength=model.dim)
 
 
-def _dense(vectors, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of `vectors` cut to `dim` columns, and their full squared norms."""
-    owner, position, weight = _flat_entries(vectors)
-    known = position < dim
-    X = np.zeros((len(vectors), dim))
-    X[owner[known], position[known]] = weight[known]
-    return X, np.bincount(owner, weights=weight * weight, minlength=len(vectors))
-
-
 def decision_scores(model: SvmModel, vectors) -> list[float]:
     """Decision values bias + sum over SVs of alpha*y*K(sv, x), for many
     vectors; a positive value classifies as spam.
 
-    Linear models use the weight vector; RBF models one kernel matrix
-    between the batch and the support vectors.
+    Each score depends on its vector and the model only, not on the batch:
+    linear models sum bias + w.x per vector, and RBF models compute each
+    vector's kernel row against the support vectors as training computes a
+    kernel row, over the vector's columns below the model's dimension and
+    its full squared norm.
     """
     vectors = list(vectors)
     if model.feature_tag is not None and any(
@@ -276,11 +277,16 @@ def decision_scores(model: SvmModel, vectors) -> list[float]:
     ):
         raise SvmError("vector was built against a different feature set")
     if model.config.kernel != "linear":
-        X, sq_x = _dense(vectors, model.dim)
-        S, sq_s = _dense(model.sv_vectors, model.dim)
-        K = _rbf(model.config.gamma, sq_x[:, None], sq_s, X @ S.T)
+        table = _KernelTable(model.sv_vectors, model.dim, model.config)
         coef = np.array(model.alphas, dtype=float) * np.array(model.sv_labels)
-        return (model.bias + K @ coef).tolist()
+        owner, _, weight = _flat_entries(vectors)
+        sq_x = np.bincount(owner, weights=weight * weight, minlength=len(vectors))
+        scores = []
+        for vec, sq in zip(vectors, sq_x):
+            known = vec.positions < model.dim
+            row = table.against(vec.positions[known], vec.weights[known], sq)
+            scores.append(float(model.bias + row @ coef))
+        return scores
     w = weight_vector(model)
     owner, position, weight = _flat_entries(vectors)
     known = position < model.dim

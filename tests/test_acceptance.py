@@ -142,7 +142,6 @@ def _replay_incremental(partition, config):
     state = run_batch_phase(partition.training, config)
     events = []
     batch_accuracies = []
-    window_start = 0
     seen = len(partition.training.documents)
     for k, batch in enumerate(partition.test_batches):
         result, misclassified = evaluate_batch(state, batch)
@@ -150,7 +149,7 @@ def _replay_incremental(partition, config):
         batch_accuracies.append(result.accuracy)
         state.batch_history.append((result.accuracy, result.fpr))
         state.misclassified.extend(misclassified)
-        decision = check_validation(state.batch_history[window_start:], config, k)
+        decision = check_validation(state.batch_history, config, k)
         if decision.fired:
             sv_count = len(state.sv_documents)
             mcm_size = len(state.misclassified)
@@ -158,7 +157,6 @@ def _replay_incremental(partition, config):
             terms_before = set(state.feature_set.index)
             dim_before = len(state.feature_set)
             state, _, _ = incremental_retrain(state, decision, batch, config)
-            window_start = len(state.batch_history)
             terms_after = set(state.feature_set.index)
             events.append({
                 "batch_index": k,

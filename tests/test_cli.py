@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from driftfilter import cli, features
 from driftfilter.cli import (
     CliError, RunConfig, build_partition, dump_config, parse_config,
-    read_manifest, run_experiment1, run_experiment2,
+    read_manifest, run_experiment,
 )
 from driftfilter.corpus import load_enron, synth_drift, write_enron_layout
 
@@ -125,6 +125,7 @@ _CONFIGS = st.builds(
 def _valid(config: RunConfig) -> RunConfig:
     assume(config.kernel != "rbf" or config.gamma is not None)
     assume(config.format == "synth" or config.dataset or config.manifest)
+    assume(not config.test_path or config.format == "ecml" or config.manifest)
     return config.validate()
 
 
@@ -191,6 +192,13 @@ class TestManifest:
         with pytest.raises(CliError, match="expected"):
             read_manifest(manifest)
 
+    def test_test_path_needs_ecml(self, tmp_path):
+        manifest = tmp_path / "bad.manifest"
+        manifest.write_text("ok ecml a.dat b.dat\nmail enron enron1 test.dat\n",
+                            encoding="utf-8")
+        with pytest.raises(CliError, match=r":2: test_path .* ecml format"):
+            read_manifest(manifest)
+
     def test_empty(self, tmp_path):
         manifest = tmp_path / "empty.manifest"
         manifest.write_text("# nothing\n", encoding="utf-8")
@@ -218,7 +226,7 @@ class TestExperiments:
         config = parse_config(None, _synth_flags(tmp_path, experiment="1"))
         out = tmp_path / "out"
         out.mkdir()
-        table = run_experiment1(config, out)
+        table = run_experiment(config, out)
         selectors = [row["selector"] for row in table.rows]
         assert selectors == list(features.SELECTORS)
         for row in table.rows:
@@ -230,7 +238,7 @@ class TestExperiments:
             None, _synth_flags(tmp_path, experiment="1", mode="incremental")
         )
         with pytest.raises(CliError, match="batch"):
-            run_experiment1(config, tmp_path / "out")
+            run_experiment(config, tmp_path / "out")
 
     def test_experiment1_separable_fixture_all_perfect(self, tmp_path):
         spec = []
@@ -247,7 +255,7 @@ class TestExperiments:
         })
         out = tmp_path / "out"
         out.mkdir()
-        table = run_experiment1(config, out)
+        table = run_experiment(config, out)
         for row in table.rows:
             assert row["accuracy"] == 1.0
 
@@ -255,7 +263,7 @@ class TestExperiments:
         config = parse_config(None, _synth_flags(tmp_path, experiment="2"))
         out = tmp_path / "out"
         out.mkdir()
-        table = run_experiment2(config, out)
+        table = run_experiment(config, out)
         rows = {row["mode"]: row for row in table.rows}
         assert set(rows) == {"batch", "incremental"}
         assert rows["batch"]["partition_checksum"] == (
@@ -264,6 +272,15 @@ class TestExperiments:
         assert rows["incremental"]["accuracy"] > rows["batch"]["accuracy"]
         assert rows["incremental"]["retrains"] >= 1
         assert rows["incremental"]["avg_fpr"] <= rows["batch"]["avg_fpr"]
+
+    def test_sessions_on_different_partitions_rejected(self, tmp_path, monkeypatch):
+        checksums = iter(["a", "b"])
+        monkeypatch.setattr(
+            cli.driftloop, "partition_checksum", lambda partition: next(checksums)
+        )
+        config = parse_config(None, _synth_flags(tmp_path, experiment="2"))
+        with pytest.raises(CliError, match="different partitions for synth"):
+            run_experiment(config, tmp_path / "out")
 
 
 class TestCliCommands:
@@ -281,15 +298,23 @@ class TestCliCommands:
             d.tokens for d in expected.documents
         ]
 
-    def test_run_single_and_rerun_byte_identical(self, tmp_path):
+    @pytest.mark.parametrize("experiment,mode,sessions", [
+        ("single", "incremental", [("tfdcr", "incremental")]),
+        ("1", "batch", [(s, "batch") for s in features.SELECTORS]),
+        ("2", "batch", [("tfdcr", "batch"), ("tfdcr", "incremental")]),
+    ], ids=["single", "1", "2"])
+    def test_run_and_rerun_byte_identical(self, tmp_path, experiment, mode, sessions):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         base = [
             "run", "--format", "synth", "--synth-vocab", "120",
             "--synth-docs-per-phase", "80", "--n", "40", "--n-batches", "3",
-            "--seed", "2", "--mode", "incremental",
+            "--seed", "2", "--experiment", experiment, "--mode", mode,
         ]
         assert cli.main(base + ["--output-dir", str(out_a)]) == 0
         assert cli.main(base + ["--output-dir", str(out_b)]) == 0
+        with open(out_a / "results.csv", newline="", encoding="utf-8") as handle:
+            rows = list(csv.DictReader(handle))
+        assert [(row["selector"], row["mode"]) for row in rows] == sessions
         files_a = sorted(p.name for p in out_a.iterdir())
         files_b = sorted(p.name for p in out_b.iterdir())
         assert files_a == files_b
@@ -378,6 +403,11 @@ class TestCliCommands:
              "dataset"),
             (["run", "--format", "synth", "--synth-docs-per-phase", "0"],
              "docs_per_phase"),
+            # Rejected before the dataset is read.
+            (["run", "--format", "enron", "--dataset", "/nonexistent",
+              "--test-path", "test.dat"], "test_path binding"),
+            (["config", "dump", "--format", "synth", "--test-path", "test.dat"],
+             "test_path binding"),
         ):
             code = cli.main(argv)
             assert code == 2, argv

@@ -257,6 +257,32 @@ class TestLoadPu:
         assert len(c.documents) == 1
 
 
+@pytest.mark.parametrize("load,names,unreadable,kept,skipped", [
+    (load_enron, ["spam/01.txt", "ham/02.txt", "spam/03.txt"], "ham/02.txt",
+     ["spam/01.txt", "spam/03.txt"], 1),
+    (load_pu, ["part1/spmsg01.txt", "part1/readme.weird", "part1/legit02msg.txt",
+               "part2/spmsg03.txt"], "part1/legit02msg.txt",
+     ["part1/spmsg01.txt", "part2/spmsg03.txt"], 2),
+])
+def test_unreadable_file_skipped_and_counted(tmp_path, monkeypatch, load, names,
+                                             unreadable, kept, skipped):
+    # arrival_index is the rank among the files kept.
+    for name in names:
+        _write(tmp_path / name, "win money now")
+    read_text = Path.read_text
+
+    def read_or_fail(path, *args, **kwargs):
+        if path == tmp_path / unreadable:
+            raise PermissionError(f"denied: {path}")
+        return read_text(path, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", read_or_fail)
+    c = load(tmp_path)
+    assert [d.id for d in c.documents] == kept
+    assert [d.arrival_index for d in c.documents] == [0, 1]
+    assert c.skipped_files == skipped
+
+
 # One defect per kind: the pair or label marker it puts on a line, and the
 # phrase its error names. Counts stay in 0-5: load_ecml expands each count
 # into that many tokens.

@@ -205,7 +205,7 @@ class TestIncrementalRetrain:
         decision = TriggerDecision(True, TriggerCause.ACCURACY_BELOW_RHO, 2)
         new_state, replaced, _ = incremental_retrain(state, decision, batch, config)
         assert new_state.generation == state.generation + 1
-        assert new_state.misclassified == []
+        assert new_state.misclassified == [] and new_state.batch_history == []
         assert len(new_state.feature_set) == len(state.feature_set)
         added = set(new_state.feature_set.index) - set(state.feature_set.index)
         assert replaced == len(added)
@@ -272,17 +272,13 @@ class TestRunSession:
         config = small_config(n=80)
         state = run_batch_phase(partition.training, config)
         dim0 = len(state.feature_set)
-        window_start = 0
         for k, batch in enumerate(partition.test_batches):
             result, misclassified = evaluate_batch(state, batch)
             state.batch_history.append((result.accuracy, result.fpr))
             state.misclassified.extend(misclassified)
-            decision = check_validation(
-                state.batch_history[window_start:], config, k
-            )
+            decision = check_validation(state.batch_history, config, k)
             if decision.fired:
                 state, _, _ = incremental_retrain(state, decision, batch, config)
-                window_start = len(state.batch_history)
                 assert len(state.feature_set) == dim0
                 terms = [sf.term for sf in state.feature_set.features]
                 assert len(terms) == len(set(terms))

@@ -374,11 +374,13 @@ class TestDecisionScores:
         for x, score in zip(vectors, scores):
             assert abs(decision_scores(model, [x])[0] - score) <= 1e-10
 
-    def test_linear_score_does_not_depend_on_batch(self):
-        # A linear score sums bias + w.x in a fixed order per vector, so a
-        # vector scored alone gets its score in any batch, bit for bit.
+    @pytest.mark.parametrize("kernel,gamma", [("linear", None), ("rbf", 0.5)])
+    def test_score_does_not_depend_on_batch(self, kernel, gamma):
+        # Each score is summed in a fixed order from its vector and the model
+        # alone, so a vector scored alone gets its score in any batch, bit
+        # for bit. The probes reach past the model's two dimensions.
         vectors, labels = gaussian_dataset(9)
-        model = train_smo(vectors, labels, TrainConfig(C=1.0))
+        model = train_smo(vectors, labels, TrainConfig(C=1.0, kernel=kernel, gamma=gamma))
         rng = random.Random(10)
         batch = vectors + [vec(*(rng.uniform(-2, 2) for _ in range(3))) for _ in range(9)]
         rng.shuffle(batch)
@@ -386,6 +388,14 @@ class TestDecisionScores:
         for i, x in enumerate(batch):
             assert decision_scores(model, [x])[0] == scores[i]
             assert decision_scores(model, batch[i:])[0] == scores[i]
+
+    @pytest.mark.parametrize("kernel,gamma", [("linear", None), ("rbf", 0.5)])
+    def test_model_without_support_vectors_scores_its_bias(self, kernel, gamma):
+        # With a tiny C every multiplier stays below alpha_epsilon.
+        vectors, labels = gaussian_dataset(9)
+        model = train_smo(vectors, labels, TrainConfig(C=1e-12, kernel=kernel, gamma=gamma))
+        assert model.alphas == ()
+        assert decision_scores(model, vectors[:3]) == [model.bias] * 3
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("kernel,gamma", [
