@@ -81,9 +81,15 @@ class RunConfig:
             raise CliError(f"gamma must be finite and > 0, got {self.gamma}")
         if not 0.0 <= self.synth_overlap <= 1.0:
             raise CliError(f"synth_overlap must be in [0,1], got {self.synth_overlap}")
-        if self.format != "synth" and not self.dataset and not self.manifest:
+        if self.manifest:
+            # The manifest names every dataset; `format` has a default, so
+            # an explicit value cannot be told apart and is left alone.
+            for key in ("dataset", "test_path"):
+                if getattr(self, key):
+                    raise CliError(f"{key} cannot be set together with manifest")
+        elif self.format != "synth" and not self.dataset:
             raise CliError("dataset path is required (or provide a manifest)")
-        if self.test_path and self.format != "ecml" and not self.manifest:
+        elif self.test_path and self.format != "ecml":
             raise CliError(_TEST_PATH_ECML_ONLY)
         return self
 

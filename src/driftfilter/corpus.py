@@ -262,8 +262,10 @@ def load_pu(dir_path, spam_pattern: str = "spmsg", legit_pattern: str = "msg") -
 
     Class membership is encoded in filenames: `spam_pattern` is tried first,
     then `legit_pattern` (both regex searches); unmatched files are skipped
-    with a warning. Arrival order is a plain (fold, filename) sort; these
-    corpora carry no chronology.
+    with a warning. A directory without subdirectories is one fold. Files
+    outside the folds' top level (beside the folds, or in a directory nested
+    in one) are skipped with a warning too. Arrival order is a plain (fold,
+    filename) sort; these corpora carry no chronology.
     """
     root = Path(dir_path)
     if not root.is_dir():
@@ -274,6 +276,10 @@ def load_pu(dir_path, spam_pattern: str = "spmsg", legit_pattern: str = "msg") -
     if not folds:
         folds = [root]
     entries, skipped = [], 0
+    for path in sorted(root.rglob("*")):
+        if path.parent not in folds and path.is_file():
+            logger.warning("skipping file outside a fold: %s", path)
+            skipped += 1
     for fold in folds:
         for path in sorted(fold.iterdir()):
             if not path.is_file():
@@ -384,6 +390,24 @@ def split_batches(documents, n_batches: int) -> tuple[LabeledCorpus, ...]:
     return tuple(batches)
 
 
+def _draw(rng: random.Random, pool, count: int) -> list:
+    """`count` draws of `rng.choice(pool)` from a non-empty pool: the same
+    values in the same order, leaving `rng` in the same state. CPython's
+    `choice` rejects each `getrandbits(k)` value at or above len(pool), with
+    k = len(pool).bit_length(); this loop does the same without the two
+    method calls per draw."""
+    n = len(pool)
+    k = n.bit_length()
+    bits = rng.getrandbits
+    out = []
+    for _ in range(count):
+        r = bits(k)
+        while r >= n:
+            r = bits(k)
+        out.append(pool[r])
+    return out
+
+
 def synth_drift(
     seed: int,
     vocab_size: int = 400,
@@ -429,12 +453,12 @@ def synth_drift(
         pool = spam_pool if arrival < drift_point else drifted_pool
         if arrival % 2 == 0:
             label = Label.SPAM
-            tokens = [rng.choice(pool) for _ in range(half)]
-            tokens += [rng.choice(legit_pool) for _ in range(_SYNTH_DOC_LEN - half)]
+            tokens = _draw(rng, pool, half)
+            tokens += _draw(rng, legit_pool, _SYNTH_DOC_LEN - half)
             rng.shuffle(tokens)
         else:
             label = Label.LEGITIMATE
-            tokens = [rng.choice(legit_pool) for _ in range(_SYNTH_DOC_LEN)]
+            tokens = _draw(rng, legit_pool, _SYNTH_DOC_LEN)
         docs.append(Document(
             id=f"synth{arrival:05d}",
             label=label,

@@ -141,63 +141,86 @@ class _SmoSolver:
         self.kernel = kernel
         self.y = y
         self.n = len(y)
-        self.alpha = np.zeros(self.n)
-        self.score = y.copy()  # u = 0 everywhere at the start
-        self.objective = 0.0
-        self.bias = 0.0
 
     def solve(self) -> tuple[bool, int]:
         """Run pair steps until the gap closes or max_passes * n steps are
-        taken; returns (converged, passes) with one pass = n steps."""
-        C = self.config.C
-        y, alpha, score, diag = self.y, self.alpha, self.score, self.kernel.diag
-        up = y > 0
-        low = ~up
-        cap = self.config.max_passes * self.n
+        taken; sets `alpha`, `objective` and `bias` and returns (converged,
+        passes) with one pass = n steps.
+
+        The scores are kept only as `masked`: row 0 holds them over I_up and
+        -inf elsewhere, row 1 over I_low and +inf elsewhere. Every example
+        lies in at least one set, so one subtraction updates every score a
+        step changes, and only i and j can change sets. Each step works on
+        buffers allocated here; multipliers, labels, the kernel diagonal and
+        the objective are Python floats.
+        """
+        C, n, kernel = self.config.C, self.n, self.kernel
+        y, diag, alpha = self.y.tolist(), kernel.diag.tolist(), [0.0] * n
+        inf = math.inf
+        masked = np.array([np.where(self.y > 0, self.y, -inf),
+                           np.where(self.y > 0, inf, self.y)])
+        up_scores, low_scores = masked
+        curvature, gain, diff = np.empty(n), np.empty(n), np.empty(n)
+        nonpositive = np.empty(n, dtype=bool)
+        cap = self.config.max_passes * n
         # The tracked scores carry rounding errors of a few ulps, so a gap
         # that equals the tolerance in real arithmetic can read just below
         # it. Closing the gap below the tolerance by a relative 1e-9 makes
         # the returned model meet the tolerance, not only to rounding.
         stop = self.config.kkt_tolerance * (1.0 - 1e-9)
+        objective = 0.0
         steps = 0
         while True:
-            up_scores = np.where(up, score, -np.inf)
             i = int(up_scores.argmax())
-            m = up_scores[i]
-            low_scores = np.where(low, score, np.inf)
-            M = low_scores.min()
+            m = float(up_scores[i])
+            M = float(low_scores.min())
             converged = m - M < stop
             if converged or steps >= cap:
                 break
-            row_i = self.kernel.row(i)
-            gain = m - low_scores
-            curvature = diag[i] + diag - 2.0 * row_i
-            curvature[curvature <= 0.0] = _TAU
-            j = int(np.where(gain > 0.0, gain * gain / curvature, -np.inf).argmax())
-            self._step(i, j, row_i, m - score[j], diag[i] + diag[j] - 2.0 * row_i[j])
-            for t in (i, j):
-                up[t] = alpha[t] < C if y[t] > 0 else alpha[t] > 0.0
-                low[t] = alpha[t] > 0.0 if y[t] > 0 else alpha[t] < C
-            steps += 1
-        free = (alpha > 0.0) & (alpha < C)
-        self.bias = float(score[free].mean()) if free.any() else float(m + M) / 2.0
-        return bool(converged), -(-steps // self.n)
+            row_i = kernel.row(i)
+            diag_i = diag[i]
+            # j maximizes the guaranteed gain b^2 / a over the I_low examples
+            # with b = m - score_j > 0; the others score 0 and never win,
+            # because the gap is at least the tolerance.
+            np.add(kernel.diag, diag_i, out=curvature)
+            np.multiply(row_i, 2.0, out=diff)
+            np.subtract(curvature, diff, out=curvature)
+            np.less_equal(curvature, 0.0, out=nonpositive)
+            np.copyto(curvature, _TAU, where=nonpositive)
+            np.subtract(m, low_scores, out=gain)
+            np.maximum(gain, 0.0, out=gain)
+            np.multiply(gain, gain, out=gain)
+            np.divide(gain, curvature, out=gain)
+            j = int(gain.argmax())
 
-    def _step(self, i: int, j: int, row_i: np.ndarray, b: float, a: float) -> None:
-        """Move alpha along (+y_i, -y_j) as far as the dual objective rises."""
-        C = self.config.C
-        y, alpha = self.y, self.alpha
-        room_i = C - alpha[i] if y[i] > 0 else alpha[i]
-        room_j = alpha[j] if y[j] > 0 else C - alpha[j]
-        t = min(b / (a if a > 0.0 else _TAU), room_i, room_j)
-        delta_obj = t * b - 0.5 * a * t * t
-        if delta_obj < -1e-9 * max(1.0, abs(self.objective)):
-            raise SvmError(f"dual objective decreased by {delta_obj} at step ({i},{j})")
-        self.objective += delta_obj
-        # A multiplier that reaches its bound is put exactly on it.
-        alpha[i] = (C if y[i] > 0 else 0.0) if t == room_i else alpha[i] + y[i] * t
-        alpha[j] = (0.0 if y[j] > 0 else C) if t == room_j else alpha[j] - y[j] * t
-        self.score -= t * (row_i - self.kernel.row(j))
+            # Move alpha along (+y_i, -y_j) as far as the dual objective rises.
+            b = m - float(low_scores[j])
+            a = diag_i + diag[j] - 2.0 * float(row_i[j])
+            room_i = C - alpha[i] if y[i] > 0 else alpha[i]
+            room_j = alpha[j] if y[j] > 0 else C - alpha[j]
+            t = min(b / (a if a > 0.0 else _TAU), room_i, room_j)
+            delta_obj = t * b - 0.5 * a * t * t
+            if delta_obj < -1e-9 * max(1.0, abs(objective)):
+                raise SvmError(f"dual objective decreased by {delta_obj} at step ({i},{j})")
+            objective += delta_obj
+            # A multiplier that reaches its bound is put exactly on it.
+            alpha[i] = (C if y[i] > 0 else 0.0) if t == room_i else alpha[i] + y[i] * t
+            alpha[j] = (0.0 if y[j] > 0 else C) if t == room_j else alpha[j] - y[j] * t
+            np.subtract(row_i, kernel.row(j), out=diff)
+            diff *= t
+            masked -= diff
+            for k, score in ((i, float(up_scores[i])), (j, float(low_scores[j]))):
+                below = alpha[k] < C
+                above = alpha[k] > 0.0
+                up_scores[k] = score if (below if y[k] > 0 else above) else -inf
+                low_scores[k] = score if (above if y[k] > 0 else below) else inf
+            steps += 1
+        self.alpha = np.array(alpha)
+        self.objective = objective
+        # A free multiplier puts its example in both sets.
+        free = (self.alpha > 0.0) & (self.alpha < C)
+        self.bias = float(up_scores[free].mean()) if free.any() else (m + M) / 2.0
+        return converged, -(-steps // n)
 
 
 def train_smo(vectors, labels, config: TrainConfig, doc_ids=None) -> SvmModel:

@@ -202,6 +202,59 @@ def qp_scores(X_train, y, alpha, bias, X_eval):
 
 
 # ---------------------------------------------------------------------------
+# The SMO pair-step loop, one numpy pass per quantity
+
+
+def wss2_reference(row, diag, y, config):
+    """Second-order working-set SMO in its plain form: the full score vector,
+    `np.where` masks of I_up and I_low rebuilt every step, numpy scalars
+    throughout. `svm.train_smo` must give the same model bit for bit.
+
+    `row(i)` returns kernel row i, `diag` the kernel diagonal and `y` the
+    +1/-1 labels as floats. Returns (alpha, bias, objective, passes,
+    converged) for the same stop rule and step cap as `svm.train_smo`.
+    """
+    C, n, tau = config.C, len(y), 1e-12
+    alpha = np.zeros(n)
+    score = y.copy()
+    objective = 0.0
+    up = y > 0
+    low = ~up
+    stop = config.kkt_tolerance * (1.0 - 1e-9)
+    steps = 0
+    while True:
+        up_scores = np.where(up, score, -np.inf)
+        i = int(up_scores.argmax())
+        m = up_scores[i]
+        low_scores = np.where(low, score, np.inf)
+        M = low_scores.min()
+        converged = m - M < stop
+        if converged or steps >= config.max_passes * n:
+            break
+        row_i = row(i)
+        gain = m - low_scores
+        curvature = diag[i] + diag - 2.0 * row_i
+        curvature[curvature <= 0.0] = tau
+        j = int(np.where(gain > 0.0, gain * gain / curvature, -np.inf).argmax())
+        b = m - score[j]
+        a = diag[i] + diag[j] - 2.0 * row_i[j]
+        room_i = C - alpha[i] if y[i] > 0 else alpha[i]
+        room_j = alpha[j] if y[j] > 0 else C - alpha[j]
+        t = min(b / (a if a > 0.0 else tau), room_i, room_j)
+        objective += t * b - 0.5 * a * t * t
+        alpha[i] = (C if y[i] > 0 else 0.0) if t == room_i else alpha[i] + y[i] * t
+        alpha[j] = (0.0 if y[j] > 0 else C) if t == room_j else alpha[j] - y[j] * t
+        score -= t * (row_i - row(j))
+        for k in (i, j):
+            up[k] = alpha[k] < C if y[k] > 0 else alpha[k] > 0.0
+            low[k] = alpha[k] > 0.0 if y[k] > 0 else alpha[k] < C
+        steps += 1
+    free = (alpha > 0.0) & (alpha < C)
+    bias = float(score[free].mean()) if free.any() else float(m + M) / 2.0
+    return alpha, bias, float(objective), -(-steps // n), bool(converged)
+
+
+# ---------------------------------------------------------------------------
 # SVM kernel, dual objective and KKT conditions, one pair at a time
 
 

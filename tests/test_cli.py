@@ -126,6 +126,7 @@ def _valid(config: RunConfig) -> RunConfig:
     assume(config.kernel != "rbf" or config.gamma is not None)
     assume(config.format == "synth" or config.dataset or config.manifest)
     assume(not config.test_path or config.format == "ecml" or config.manifest)
+    assume(not config.manifest or not (config.dataset or config.test_path))
     return config.validate()
 
 
@@ -408,6 +409,11 @@ class TestCliCommands:
               "--test-path", "test.dat"], "test_path binding"),
             (["config", "dump", "--format", "synth", "--test-path", "test.dat"],
              "test_path binding"),
+            # A manifest names every dataset.
+            (["run", "--manifest", "ds.manifest", "--dataset", "/nonexistent"],
+             "dataset cannot be set together with manifest"),
+            (["run", "--manifest", "ds.manifest", "--test-path", "/nonexistent/x.dat"],
+             "test_path cannot be set together with manifest"),
         ):
             code = cli.main(argv)
             assert code == 2, argv

@@ -1,3 +1,4 @@
+import logging
 import math
 import random
 import re
@@ -6,7 +7,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from driftfilter import corpus, porter
@@ -283,6 +284,87 @@ def test_unreadable_file_skipped_and_counted(tmp_path, monkeypatch, load, names,
     assert c.skipped_files == skipped
 
 
+_PU_DIRS = ("", "part1", "part2", "part1/deep", "part2/deep/er")
+_PU_FILES = st.lists(
+    st.tuples(
+        st.sampled_from(_PU_DIRS),
+        st.sampled_from(("spmsg{}.txt", "{}msg.txt", "{}legit.txt", "readme{}", ".x{}")),
+        st.integers(0, 3),
+        st.sampled_from((b"cheap pills offer", b"", b"\xff\xfe buy \x80 now", b"\x80")),
+        st.booleans(),  # unreadable
+    ),
+    max_size=12,
+    unique_by=lambda f: (f[0], f[1].format(f[2])),
+)
+
+
+class _Warnings(logging.Handler):
+    def __init__(self):
+        super().__init__(logging.WARNING)
+        self.messages = []
+
+    def emit(self, record):
+        self.messages.append(record.getMessage())
+
+
+@settings(deadline=None, max_examples=60)
+@given(_PU_FILES, st.lists(st.sampled_from(_PU_DIRS[1:]), max_size=2))
+def test_load_pu_keeps_or_names_every_file(files, empty_dirs):
+    # Each regular file under the root becomes a document or is skipped with
+    # a warning that names it. Only a readable file whose name matches a
+    # pattern, directly inside a fold (or the root when it has no folds), is
+    # a message.
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        root = Path(tmp)
+        for sub in empty_dirs:
+            (root / sub).mkdir(parents=True, exist_ok=True)
+        unreadable = set()
+        for sub, name, k, content, broken in files:
+            path = root / sub / name.format(k)
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_bytes(content)
+            if broken:
+                unreadable.add(path)
+        read_text = Path.read_text
+
+        def read_or_fail(path, *args, **kwargs):
+            if path in unreadable:
+                raise PermissionError(f"denied: {path}")
+            return read_text(path, *args, **kwargs)
+
+        mp.setattr(Path, "read_text", read_or_fail)
+        folds = {p for p in root.iterdir() if p.is_dir()} or {root}
+        expected = {}
+        for path in sorted(p for p in root.rglob("*") if p.is_file()):
+            if path.parent not in folds or path in unreadable:
+                continue
+            if "spmsg" in path.name:
+                label = Label.SPAM
+            elif "msg" in path.name:
+                label = Label.LEGITIMATE
+            else:
+                continue
+            text = path.read_bytes().decode("utf-8", errors="replace")
+            doc_id = path.name if path.parent == root else f"{path.parent.name}/{path.name}"
+            expected[doc_id] = (label, tuple(preprocess_text(text)))
+        seen = [p for p in root.rglob("*") if p.is_file()]
+
+        handler = _Warnings()
+        logger = logging.getLogger("driftfilter.corpus")
+        logger.addHandler(handler)
+        try:
+            c = load_pu(root)
+        finally:
+            logger.removeHandler(handler)
+    assert {d.id: (d.label, d.tokens) for d in c.documents} == expected
+    assert [d.arrival_index for d in c.documents] == list(range(len(c.documents)))
+    assert len(c.documents) + c.skipped_files == len(seen)
+    kept = {root / d.id for d in c.documents}
+    for path in seen:
+        if path not in kept:
+            assert any(str(path) in m for m in handler.messages), path
+
+
 # One defect per kind: the pair or label marker it puts on a line, and the
 # phrase its error names. Counts stay in 0-5: load_ecml expands each count
 # into that many tokens.
@@ -521,6 +603,17 @@ class TestSynthDrift:
     def test_labels_balanced(self):
         stream = synth_drift(2, vocab_size=120, docs_per_phase=50)
         assert stream.n_spam == stream.n_legit == 50
+
+    @given(
+        st.integers(0, 2**64),
+        st.integers(1, 5000) | st.integers(0, 12).map(lambda e: 2**e),
+        st.integers(0, 60),
+    )
+    def test_draws_equal_random_choice(self, seed, size, count):
+        pool = [f"t{i}" for i in range(size)]
+        ours, theirs = random.Random(seed), random.Random(seed)
+        assert corpus._draw(ours, pool, count) == [theirs.choice(pool) for _ in range(count)]
+        assert ours.random() == theirs.random()
 
 
 class TestEnronRoundTrip:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from driftfilter.features import SparseVector
 from driftfilter.svm import (
-    SvmError, TrainConfig, decision_scores, train_smo, weight_vector,
+    SvmError, TrainConfig, _KernelTable, decision_scores, train_smo, weight_vector,
 )
 
 import oracles
@@ -257,6 +258,47 @@ class TestSolverProperties:
         assert model.passes == config.max_passes
         full = train_smo(vectors, labels, TrainConfig(C=1e3))
         assert full.converged and full.passes > config.max_passes
+
+
+def assert_matches_reference(vectors, labels, config):
+    """train_smo equals the step-by-step WSS2 loop bit for bit, run on the
+    same kernel rows."""
+    model = train_smo(vectors, labels, config)
+    table = _KernelTable(vectors, model.dim, config)
+    alpha, bias, objective, passes, converged = oracles.wss2_reference(
+        table.row, table.diag, np.array(labels, dtype=float), config
+    )
+    keep = alpha > config.alpha_epsilon
+    assert model.alphas == tuple(alpha[keep].tolist())
+    assert model.sv_doc_ids == tuple(str(i) for i in np.flatnonzero(keep))
+    assert (model.bias, model.objective, model.passes, model.converged) == (
+        bias, objective, passes, converged
+    )
+    return model
+
+
+class TestSolverMatchesReference:
+    @settings(deadline=None, max_examples=30)
+    @given(degenerate_problems(), st.sampled_from((1, 2, 10_000)))
+    def test_degenerate_input(self, problem, max_passes):
+        vectors, labels, config = problem
+        assert_matches_reference(
+            vectors, labels, dataclasses.replace(config, max_passes=max_passes)
+        )
+
+    @pytest.mark.parametrize("kernel", ("linear", "rbf"))
+    @pytest.mark.parametrize("C", EXTREME_C)
+    def test_named_cases(self, C, kernel):
+        config = kernel_config(kernel, C)
+        vectors, labels = sparse_dataset(3, n=20)
+        vectors[::5] = [vec()] * 4  # empty vectors
+        vectors[1], labels[:2] = vectors[0], [1, -1]  # a duplicate, opposite labels
+        assert_matches_reference(vectors, labels, config)
+
+    def test_capped_solve(self):
+        vectors, labels = gaussian_dataset(8, n=30)
+        model = assert_matches_reference(vectors, labels, TrainConfig(C=1e3, max_passes=1))
+        assert not model.converged
 
 
 class TestWeightVector:
