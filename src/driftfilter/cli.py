@@ -98,7 +98,7 @@ _CHOICES = {
     "format": FORMATS,
     "selector": features.SELECTORS,
     "mode": tuple(m.value for m in driftloop.SessionMode),
-    "kernel": ("linear", "rbf"),
+    "kernel": svm.KERNELS,
     "experiment": ("single", "1", "2"),
     "fpr_trigger": tuple(t.value for t in driftloop.FprTrigger),
 }
@@ -122,24 +122,29 @@ def _coerce(key: str, raw: str):
         raise CliError(f"{key} has a malformed value: {raw!r}") from None
 
 
+def _content_lines(path):
+    """(line number, stripped text) of each line not blank once `#` comments are cut."""
+    with open(path, encoding="utf-8") as handle:
+        for line_no, line in enumerate(handle, start=1):
+            stripped = line.split("#", 1)[0].strip()
+            if stripped:
+                yield line_no, stripped
+
+
 def read_config_file(path) -> dict:
     """Parse a `key = value` file; unknown keys are an error listing them."""
     values = {}
     unknown = []
-    with open(path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            stripped = line.split("#", 1)[0].strip()
-            if not stripped:
-                continue
-            key, sep, raw = stripped.partition("=")
-            if not sep:
-                raise CliError(f"{path}:{line_no}: expected `key = value`")
-            key = key.strip()
-            raw = raw.strip()
-            if key not in _TYPES:
-                unknown.append(key)
-                continue
-            values[key] = _coerce(key, raw)
+    for line_no, stripped in _content_lines(path):
+        key, sep, raw = stripped.partition("=")
+        if not sep:
+            raise CliError(f"{path}:{line_no}: expected `key = value`")
+        key = key.strip()
+        raw = raw.strip()
+        if key not in _TYPES:
+            unknown.append(key)
+            continue
+        values[key] = _coerce(key, raw)
     if unknown:
         raise CliError(f"unknown configuration keys: {', '.join(sorted(unknown))}")
     return values
@@ -201,31 +206,27 @@ class DatasetEntry:
 
 
 def read_manifest(path) -> list[DatasetEntry]:
-    """Read dataset entries: `name format path [test_path]` per line."""
+    """Read dataset entries: `name format path [test_path]` per line, unique names."""
     base = Path(path).parent
     entries = []
-    with open(path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            stripped = line.split("#", 1)[0].strip()
-            if not stripped:
-                continue
-            parts = stripped.split()
-            if len(parts) not in (3, 4):
-                raise CliError(
-                    f"{path}:{line_no}: expected `name format path [test_path]`"
-                )
-            name, fmt, data_path = parts[:3]
-            if fmt not in FORMATS:
-                raise CliError(f"{path}:{line_no}: unknown format {fmt!r}")
-            test_path = parts[3] if len(parts) == 4 else None
-            if test_path and fmt != "ecml":
-                raise CliError(f"{path}:{line_no}: {_TEST_PATH_ECML_ONLY}")
-            entries.append(DatasetEntry(
-                name=name,
-                format=fmt,
-                path=str(base / data_path),
-                test_path=str(base / test_path) if test_path else None,
-            ))
+    for line_no, stripped in _content_lines(path):
+        parts = stripped.split()
+        if len(parts) not in (3, 4):
+            raise CliError(f"{path}:{line_no}: expected `name format path [test_path]`")
+        name, fmt, data_path = parts[:3]
+        if fmt not in FORMATS:
+            raise CliError(f"{path}:{line_no}: unknown format {fmt!r}")
+        if any(entry.name == name for entry in entries):
+            raise CliError(f"{path}:{line_no}: duplicate dataset name {name!r}")
+        test_path = parts[3] if len(parts) == 4 else None
+        if test_path and fmt != "ecml":
+            raise CliError(f"{path}:{line_no}: {_TEST_PATH_ECML_ONLY}")
+        entries.append(DatasetEntry(
+            name=name,
+            format=fmt,
+            path=str(base / data_path),
+            test_path=str(base / test_path) if test_path else None,
+        ))
     if not entries:
         raise CliError(f"manifest {path} lists no datasets")
     return entries

@@ -9,7 +9,7 @@ import random
 import re
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cache, cached_property
 from importlib import resources
 from pathlib import Path
 
@@ -133,25 +133,18 @@ class StreamPartition:
         return digest.hexdigest()
 
 
-def _make_corpus(docs, skipped=0) -> LabeledCorpus:
-    return LabeledCorpus(
-        tuple(sorted(docs, key=lambda d: d.arrival_index)), skipped
-    )
+def _make_corpus(docs) -> LabeledCorpus:
+    return LabeledCorpus(tuple(sorted(docs, key=lambda d: d.arrival_index)))
 
 
-_STOPWORDS: frozenset[str] | None = None
-
-
+@cache
 def stopwords() -> frozenset[str]:
     """The stop-word list shipped with the package (lowercase, one per line)."""
-    global _STOPWORDS
-    if _STOPWORDS is None:
-        text = (
-            resources.files("driftfilter").joinpath("data/stopwords.txt")
-            .read_text(encoding="utf-8")
-        )
-        _STOPWORDS = frozenset(w for w in text.split("\n") if w)
-    return _STOPWORDS
+    text = (
+        resources.files("driftfilter").joinpath("data/stopwords.txt")
+        .read_text(encoding="utf-8")
+    )
+    return frozenset(w for w in text.split("\n") if w)
 
 
 def tokenize(raw_text: str) -> list[str]:
@@ -163,10 +156,9 @@ def tokenize(raw_text: str) -> list[str]:
     return [t for t in _TOKEN.findall(raw_text.lower()) if not t.isdigit()]
 
 
-def remove_stopwords(tokens, stoplist=None) -> list[str]:
+def remove_stopwords(tokens) -> list[str]:
     """Filter stop-list members, preserving the order of survivors."""
-    if stoplist is None:
-        stoplist = stopwords()
+    stoplist = stopwords()
     return [t for t in tokens if t not in stoplist]
 
 
@@ -202,7 +194,7 @@ def _stem_fixpoint(token: str) -> str:
     return out
 
 
-def preprocess_text(raw_text: str, stoplist=None) -> list[str]:
+def preprocess_text(raw_text: str) -> list[str]:
     """Full pipeline: tokenize, drop stopwords, stem.
 
     Stems are filtered again like tokens (minimum length, not all digits,
@@ -210,9 +202,8 @@ def preprocess_text(raw_text: str, stoplist=None) -> list[str]:
     fixed-point stemming makes the pipeline idempotent: re-running it over
     its own output changes nothing.
     """
-    if stoplist is None:
-        stoplist = stopwords()
-    stems = (_stem_fixpoint(t) for t in remove_stopwords(tokenize(raw_text), stoplist))
+    stoplist = stopwords()
+    stems = (_stem_fixpoint(t) for t in remove_stopwords(tokenize(raw_text)))
     return [s for s in stems if len(s) >= 2 and not s.isdigit() and s not in stoplist]
 
 
@@ -238,13 +229,14 @@ def load_enron(dir_path) -> LabeledCorpus:
     """Load an Enron-layout directory: `spam/` and `ham/` of plain-text files.
 
     Labels come from the subdirectory; arrival order from the merged filename
-    sort (Enron filenames sort chronologically). Unreadable files are skipped
+    sort (Enron filenames sort chronologically). Unreadable files, and files
+    in a directory nested in `spam/` or `ham/`, are skipped with a warning
     and counted in `skipped_files`.
     """
     root = Path(dir_path)
     if not root.is_dir():
         raise CorpusError(f"dataset directory not found: {root}")
-    entries = []
+    entries, skipped = [], 0
     for subdir, label in (("spam", Label.SPAM), ("ham", Label.LEGITIMATE)):
         sub = root / subdir
         if not sub.is_dir():
@@ -253,25 +245,28 @@ def load_enron(dir_path) -> LabeledCorpus:
         for path in sub.iterdir():
             if path.is_file():
                 entries.append((f"{subdir}/{path.name}", label, path))
+            elif path.is_dir():
+                for nested in sorted(path.rglob("*")):
+                    if nested.is_file():
+                        logger.warning("skipping file in a nested directory: %s", nested)
+                        skipped += 1
     entries.sort(key=lambda e: (e[2].name, e[2].parent.name))
-    return _read_documents(entries, 0)
+    return _read_documents(entries, skipped)
 
 
-def load_pu(dir_path, spam_pattern: str = "spmsg", legit_pattern: str = "msg") -> LabeledCorpus:
+def load_pu(dir_path) -> LabeledCorpus:
     """Load a PU-layout directory: fold subdirectories of message files.
 
-    Class membership is encoded in filenames: `spam_pattern` is tried first,
-    then `legit_pattern` (both regex searches); unmatched files are skipped
-    with a warning. A directory without subdirectories is one fold. Files
-    outside the folds' top level (beside the folds, or in a directory nested
-    in one) are skipped with a warning too. Arrival order is a plain (fold,
-    filename) sort; these corpora carry no chronology.
+    Class membership is encoded in filenames: a name containing `spmsg` is
+    spam, any other containing `msg` is legitimate; unmatched files are
+    skipped with a warning. A directory without subdirectories is one fold.
+    Files outside the folds' top level (beside the folds, or in a directory
+    nested in one) are skipped with a warning too. Arrival order is a plain
+    (fold, filename) sort; these corpora carry no chronology.
     """
     root = Path(dir_path)
     if not root.is_dir():
         raise CorpusError(f"dataset directory not found: {root}")
-    spam_re = re.compile(spam_pattern)
-    legit_re = re.compile(legit_pattern)
     folds = sorted(p for p in root.iterdir() if p.is_dir())
     if not folds:
         folds = [root]
@@ -284,9 +279,9 @@ def load_pu(dir_path, spam_pattern: str = "spmsg", legit_pattern: str = "msg") -
         for path in sorted(fold.iterdir()):
             if not path.is_file():
                 continue
-            if spam_re.search(path.name):
+            if "spmsg" in path.name:
                 label = Label.SPAM
-            elif legit_re.search(path.name):
+            elif "msg" in path.name:
                 label = Label.LEGITIMATE
             else:
                 logger.warning("skipping file with unrecognized name: %s", path)
@@ -473,9 +468,14 @@ def write_enron_layout(corpus: LabeledCorpus, dir_path) -> None:
 
     Filenames are zero-padded arrival indices so a reload preserves order;
     tokens are space-joined, and generator tokens are preprocessing fixed
-    points, so a round trip through load_enron is lossless.
+    points, so a round trip through load_enron is lossless. A `spam/` or
+    `ham/` that already holds anything is an error and nothing is written:
+    `load_enron` would read the old files as part of the new stream.
     """
     root = Path(dir_path)
+    for sub in ("spam", "ham"):
+        if (root / sub).is_dir() and any((root / sub).iterdir()):
+            raise CorpusError(f"{root / sub} is not empty; write to a new directory")
     for sub in ("spam", "ham"):
         (root / sub).mkdir(parents=True, exist_ok=True)
     for doc in corpus.documents:

@@ -114,23 +114,6 @@ def _label_to_int(label: Label) -> int:
     raise DriftLoopError("evaluation requires labeled documents")
 
 
-def build_feature_set(
-    training: LabeledCorpus,
-    config: DriftConfig,
-    counts: features.CorpusCounts | None = None,
-) -> features.FeatureSet:
-    """Top-N feature set of the training corpus under the configured selector.
-
-    `counts`, when given, is `features.count_stats(training)`.
-    """
-    if counts is None:
-        counts = features.count_stats(training)
-    if config.selector == "tfdcr":
-        return features.select_top_n(counts, config.feature_dim)
-    scores = features.baseline_score(config.selector, counts)
-    return features.select_top_n_scored(scores, config.feature_dim)
-
-
 def _train_on(docs, fs: features.FeatureSet, config: DriftConfig) -> svm.SvmModel:
     vectors = features.vectorize_all(docs, fs)
     labels = [_label_to_int(d.label) for d in docs]
@@ -154,7 +137,9 @@ def run_batch_phase(
     `counts`, when given, is `features.count_stats(training)`; sessions that
     differ only in the selector can share it.
     """
-    fs = build_feature_set(training, config, counts)
+    if counts is None:
+        counts = features.count_stats(training)
+    fs = features.select(config.selector, counts, config.feature_dim)
     model = _train_on(training.documents, fs, config)
     return FilterState(
         generation=0,

@@ -313,6 +313,14 @@ def baseline_score(method: str, counts: CorpusCounts) -> dict[str, float]:
     return scores
 
 
+def select(selector: str, counts: CorpusCounts, n: int) -> FeatureSet:
+    """Top-n feature set of `counts` under one of `SELECTORS`: TFDCR
+    weights, or a baseline's scores."""
+    if selector == "tfdcr":
+        return select_top_n(counts, n)
+    return select_top_n_scored(baseline_score(selector, counts), n)
+
+
 def vectorize_all(docs, fs: FeatureSet) -> list[SparseVector]:
     """Raw term-frequency vectors over the feature set, L2-normalized.
 

@@ -150,13 +150,8 @@ def _first_rule(table, word: str):
     return None
 
 
-def _step2(word: str) -> str:
-    rule = _first_rule(_STEP2_TABLE, word)
-    return word if rule is None else _replace_if(word, *rule, 0)
-
-
-def _step3(word: str) -> str:
-    rule = _first_rule(_STEP3_TABLE, word)
+def _step2or3(table, word: str) -> str:
+    rule = _first_rule(table, word)
     return word if rule is None else _replace_if(word, *rule, 0)
 
 
@@ -198,8 +193,8 @@ def stem(word: str) -> str:
     word = _step1a(word)
     word = _step1b(word)
     word = _step1c(word)
-    word = _step2(word)
-    word = _step3(word)
+    word = _step2or3(_STEP2_TABLE, word)
+    word = _step2or3(_STEP3_TABLE, word)
     word = _step4(word)
     word = _step5a(word)
     word = _step5b(word)

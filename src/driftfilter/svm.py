@@ -24,6 +24,9 @@ from .features import SparseVector
 logger = logging.getLogger(__name__)
 
 _TAU = 1e-12  # curvature floor for a pair with K_ii + K_jj - 2 K_ij <= 0
+_ROW_CACHE_FLOATS = 1 << 25  # kernel-row cache budget, roughly 256 MB
+
+KERNELS = ("linear", "rbf")
 
 
 class SvmError(Exception):
@@ -33,7 +36,7 @@ class SvmError(Exception):
 @dataclass(frozen=True)
 class TrainConfig:
     C: float = 1.0
-    kernel: str = "linear"  # "linear" or "rbf"
+    kernel: str = "linear"  # one of KERNELS
     gamma: float | None = None
     kkt_tolerance: float = 1e-3
     alpha_epsilon: float = 1e-8
@@ -44,7 +47,7 @@ class TrainConfig:
             raise SvmError(f"C must be finite and positive, got {self.C}")
         if self.kkt_tolerance <= 0 or self.alpha_epsilon <= 0:
             raise SvmError("tolerances must be positive")
-        if self.kernel not in ("linear", "rbf"):
+        if self.kernel not in KERNELS:
             raise SvmError(f"unsupported kernel: {self.kernel!r}")
         if self.kernel == "rbf" and self.gamma is None:
             raise SvmError("rbf kernel requires a finite gamma > 0, got None")
@@ -101,7 +104,7 @@ class _KernelTable:
         self.sq = np.bincount(owner, weights=weight * weight, minlength=n)
         self.diag = np.ones(n) if config.kernel == "rbf" else self.sq
         self.cache: OrderedDict[int, np.ndarray] = OrderedDict()
-        self.limit = max(16, (1 << 25) // max(n, 1))  # roughly 256 MB of rows
+        self.limit = max(16, _ROW_CACHE_FLOATS // max(n, 1))
 
     def against(self, cols, vals, sq) -> np.ndarray:
         """Kernel values of every stored example with the vector that has
@@ -124,8 +127,10 @@ class _KernelTable:
         return row
 
 
-class _SmoSolver:
-    """Second-order working-set SMO.
+def _solve(kernel: _KernelTable, y: np.ndarray, config: TrainConfig):
+    """Second-order working-set SMO: pair steps until the gap closes or
+    max_passes * n steps are taken. Returns (alpha, bias, objective,
+    converged, passes) with one pass = n steps.
 
     `score[t] = y_t - u_t`, with `u` the decision value without bias, is
     minus `y_t` times the gradient of the dual objective, and the bias that
@@ -134,93 +139,79 @@ class _SmoSolver:
     y=-1 above 0), I_low those that may move against it. The KKT conditions
     hold within the tolerance once max(score over I_up) - min(score over
     I_low) drops below it and the bias lies between the two.
+
+    The scores are kept only as `masked`: row 0 holds them over I_up and
+    -inf elsewhere, row 1 over I_low and +inf elsewhere. Every example lies
+    in at least one set, so one subtraction updates every score a step
+    changes, and only i and j can change sets. Each step works on buffers
+    allocated here; multipliers, labels, the kernel diagonal and the
+    objective are Python floats.
     """
+    C, n = config.C, len(y)
+    inf = math.inf
+    masked = np.array([np.where(y > 0, y, -inf), np.where(y > 0, inf, y)])
+    y, diag, alpha = y.tolist(), kernel.diag.tolist(), [0.0] * n
+    up_scores, low_scores = masked
+    curvature, gain, diff = np.empty(n), np.empty(n), np.empty(n)
+    nonpositive = np.empty(n, dtype=bool)
+    cap = config.max_passes * n
+    # The tracked scores carry rounding errors of a few ulps, so a gap that
+    # equals the tolerance in real arithmetic can read just below it.
+    # Closing the gap below the tolerance by a relative 1e-9 makes the
+    # returned model meet the tolerance, not only to rounding.
+    stop = config.kkt_tolerance * (1.0 - 1e-9)
+    objective = 0.0
+    steps = 0
+    while True:
+        i = int(up_scores.argmax())
+        m = float(up_scores[i])
+        M = float(low_scores.min())
+        converged = m - M < stop
+        if converged or steps >= cap:
+            break
+        row_i = kernel.row(i)
+        diag_i = diag[i]
+        # j maximizes the guaranteed gain b^2 / a over the I_low examples
+        # with b = m - score_j > 0; the others score 0 and never win,
+        # because the gap is at least the tolerance.
+        np.add(kernel.diag, diag_i, out=curvature)
+        np.multiply(row_i, 2.0, out=diff)
+        np.subtract(curvature, diff, out=curvature)
+        np.less_equal(curvature, 0.0, out=nonpositive)
+        np.copyto(curvature, _TAU, where=nonpositive)
+        np.subtract(m, low_scores, out=gain)
+        np.maximum(gain, 0.0, out=gain)
+        np.multiply(gain, gain, out=gain)
+        np.divide(gain, curvature, out=gain)
+        j = int(gain.argmax())
 
-    def __init__(self, kernel: _KernelTable, y: np.ndarray, config: TrainConfig):
-        self.config = config
-        self.kernel = kernel
-        self.y = y
-        self.n = len(y)
-
-    def solve(self) -> tuple[bool, int]:
-        """Run pair steps until the gap closes or max_passes * n steps are
-        taken; sets `alpha`, `objective` and `bias` and returns (converged,
-        passes) with one pass = n steps.
-
-        The scores are kept only as `masked`: row 0 holds them over I_up and
-        -inf elsewhere, row 1 over I_low and +inf elsewhere. Every example
-        lies in at least one set, so one subtraction updates every score a
-        step changes, and only i and j can change sets. Each step works on
-        buffers allocated here; multipliers, labels, the kernel diagonal and
-        the objective are Python floats.
-        """
-        C, n, kernel = self.config.C, self.n, self.kernel
-        y, diag, alpha = self.y.tolist(), kernel.diag.tolist(), [0.0] * n
-        inf = math.inf
-        masked = np.array([np.where(self.y > 0, self.y, -inf),
-                           np.where(self.y > 0, inf, self.y)])
-        up_scores, low_scores = masked
-        curvature, gain, diff = np.empty(n), np.empty(n), np.empty(n)
-        nonpositive = np.empty(n, dtype=bool)
-        cap = self.config.max_passes * n
-        # The tracked scores carry rounding errors of a few ulps, so a gap
-        # that equals the tolerance in real arithmetic can read just below
-        # it. Closing the gap below the tolerance by a relative 1e-9 makes
-        # the returned model meet the tolerance, not only to rounding.
-        stop = self.config.kkt_tolerance * (1.0 - 1e-9)
-        objective = 0.0
-        steps = 0
-        while True:
-            i = int(up_scores.argmax())
-            m = float(up_scores[i])
-            M = float(low_scores.min())
-            converged = m - M < stop
-            if converged or steps >= cap:
-                break
-            row_i = kernel.row(i)
-            diag_i = diag[i]
-            # j maximizes the guaranteed gain b^2 / a over the I_low examples
-            # with b = m - score_j > 0; the others score 0 and never win,
-            # because the gap is at least the tolerance.
-            np.add(kernel.diag, diag_i, out=curvature)
-            np.multiply(row_i, 2.0, out=diff)
-            np.subtract(curvature, diff, out=curvature)
-            np.less_equal(curvature, 0.0, out=nonpositive)
-            np.copyto(curvature, _TAU, where=nonpositive)
-            np.subtract(m, low_scores, out=gain)
-            np.maximum(gain, 0.0, out=gain)
-            np.multiply(gain, gain, out=gain)
-            np.divide(gain, curvature, out=gain)
-            j = int(gain.argmax())
-
-            # Move alpha along (+y_i, -y_j) as far as the dual objective rises.
-            b = m - float(low_scores[j])
-            a = diag_i + diag[j] - 2.0 * float(row_i[j])
-            room_i = C - alpha[i] if y[i] > 0 else alpha[i]
-            room_j = alpha[j] if y[j] > 0 else C - alpha[j]
-            t = min(b / (a if a > 0.0 else _TAU), room_i, room_j)
-            delta_obj = t * b - 0.5 * a * t * t
-            if delta_obj < -1e-9 * max(1.0, abs(objective)):
-                raise SvmError(f"dual objective decreased by {delta_obj} at step ({i},{j})")
-            objective += delta_obj
-            # A multiplier that reaches its bound is put exactly on it.
-            alpha[i] = (C if y[i] > 0 else 0.0) if t == room_i else alpha[i] + y[i] * t
-            alpha[j] = (0.0 if y[j] > 0 else C) if t == room_j else alpha[j] - y[j] * t
-            np.subtract(row_i, kernel.row(j), out=diff)
-            diff *= t
-            masked -= diff
-            for k, score in ((i, float(up_scores[i])), (j, float(low_scores[j]))):
-                below = alpha[k] < C
-                above = alpha[k] > 0.0
-                up_scores[k] = score if (below if y[k] > 0 else above) else -inf
-                low_scores[k] = score if (above if y[k] > 0 else below) else inf
-            steps += 1
-        self.alpha = np.array(alpha)
-        self.objective = objective
-        # A free multiplier puts its example in both sets.
-        free = (self.alpha > 0.0) & (self.alpha < C)
-        self.bias = float(up_scores[free].mean()) if free.any() else (m + M) / 2.0
-        return converged, -(-steps // n)
+        # Move alpha along (+y_i, -y_j) as far as the dual objective rises.
+        b = m - float(low_scores[j])
+        a = diag_i + diag[j] - 2.0 * float(row_i[j])
+        room_i = C - alpha[i] if y[i] > 0 else alpha[i]
+        room_j = alpha[j] if y[j] > 0 else C - alpha[j]
+        t = min(b / (a if a > 0.0 else _TAU), room_i, room_j)
+        delta_obj = t * b - 0.5 * a * t * t
+        if delta_obj < -1e-9 * max(1.0, abs(objective)):
+            raise SvmError(f"dual objective decreased by {delta_obj} at step ({i},{j})")
+        objective += delta_obj
+        # A multiplier that reaches its bound is put exactly on it.
+        alpha[i] = (C if y[i] > 0 else 0.0) if t == room_i else alpha[i] + y[i] * t
+        alpha[j] = (0.0 if y[j] > 0 else C) if t == room_j else alpha[j] - y[j] * t
+        np.subtract(row_i, kernel.row(j), out=diff)
+        diff *= t
+        masked -= diff
+        for k, score in ((i, float(up_scores[i])), (j, float(low_scores[j]))):
+            below = alpha[k] < C
+            above = alpha[k] > 0.0
+            up_scores[k] = score if (below if y[k] > 0 else above) else -inf
+            low_scores[k] = score if (above if y[k] > 0 else below) else inf
+        steps += 1
+    alpha = np.array(alpha)
+    # A free multiplier puts its example in both sets.
+    free = (alpha > 0.0) & (alpha < C)
+    bias = float(up_scores[free].mean()) if free.any() else (m + M) / 2.0
+    return alpha, bias, objective, converged, -(-steps // n)
 
 
 def train_smo(vectors, labels, config: TrainConfig, doc_ids=None) -> SvmModel:
@@ -254,24 +245,25 @@ def train_smo(vectors, labels, config: TrainConfig, doc_ids=None) -> SvmModel:
     dim = max((int(vec.positions[-1]) + 1 for vec in vectors if len(vec.positions)),
               default=0)
     y = np.array(labels, dtype=float)
-    solver = _SmoSolver(_KernelTable(vectors, dim, config), y, config)
-    converged, passes = solver.solve()
+    alpha, bias, objective, converged, passes = _solve(
+        _KernelTable(vectors, dim, config), y, config
+    )
     if not converged:
         logger.warning("SMO hit max_passes=%d before converging", config.max_passes)
 
-    keep = [i for i in range(len(vectors)) if solver.alpha[i] > config.alpha_epsilon]
+    keep = [i for i in range(len(vectors)) if alpha[i] > config.alpha_epsilon]
     return SvmModel(
-        alphas=tuple(float(solver.alpha[i]) for i in keep),
+        alphas=tuple(float(alpha[i]) for i in keep),
         sv_labels=tuple(int(labels[i]) for i in keep),
         sv_vectors=tuple(vectors[i] for i in keep),
         sv_doc_ids=tuple(doc_ids[i] for i in keep),
-        bias=float(solver.bias),
+        bias=bias,
         config=config,
         dim=dim,
         feature_tag=feature_tag,
         converged=converged,
         passes=passes,
-        objective=float(solver.objective),
+        objective=objective,
     )
 
 

@@ -200,6 +200,12 @@ class TestManifest:
         with pytest.raises(CliError, match=r":2: test_path .* ecml format"):
             read_manifest(manifest)
 
+    def test_duplicate_name(self, tmp_path):
+        manifest = tmp_path / "dup.manifest"
+        manifest.write_text("a pu pu\na pu pu\n", encoding="utf-8")
+        with pytest.raises(CliError, match=r":2: duplicate dataset name 'a'"):
+            read_manifest(manifest)
+
     def test_empty(self, tmp_path):
         manifest = tmp_path / "empty.manifest"
         manifest.write_text("# nothing\n", encoding="utf-8")
@@ -285,7 +291,7 @@ class TestExperiments:
 
 
 class TestCliCommands:
-    def test_synth_writes_loadable_corpus(self, tmp_path):
+    def test_synth_writes_loadable_corpus(self, tmp_path, capsys):
         out = tmp_path / "corpusdir"
         code = cli.main([
             "synth", "--seed", "5", "--out", str(out),
@@ -298,6 +304,14 @@ class TestCliCommands:
         assert [d.tokens for d in corpus_.documents] == [
             d.tokens for d in expected.documents
         ]
+        # A second corpus into the same directory would mix with the first.
+        files = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        capsys.readouterr()
+        code = cli.main(["synth", "--seed", "6", "--out", str(out),
+                         "--synth-docs-per-phase", "20"])
+        assert code == 2
+        assert str(out / "spam") in capsys.readouterr().err
+        assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == files
 
     @pytest.mark.parametrize("experiment,mode,sessions", [
         ("single", "incremental", [("tfdcr", "incremental")]),

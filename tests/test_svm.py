@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from driftfilter import svm
 from driftfilter.features import SparseVector
 from driftfilter.svm import (
     SvmError, TrainConfig, _KernelTable, decision_scores, train_smo, weight_vector,
@@ -299,6 +300,29 @@ class TestSolverMatchesReference:
         vectors, labels = gaussian_dataset(8, n=30)
         model = assert_matches_reference(vectors, labels, TrainConfig(C=1e3, max_passes=1))
         assert not model.converged
+
+
+class TestKernelRowCache:
+    @pytest.mark.parametrize("kernel", ("linear", "rbf"))
+    def test_eviction_keeps_the_model(self, monkeypatch, kernel):
+        vectors, labels = gaussian_dataset(8, n=200)
+        config = kernel_config(kernel, 1e3)
+        full = train_smo(vectors, labels, config)
+        row = _KernelTable.row
+        sizes, rows = [], set()
+
+        def recorded_row(table, i):
+            out = row(table, i)
+            sizes.append((len(table.cache), table.limit))
+            rows.add(i)
+            return out
+
+        monkeypatch.setattr(svm, "_ROW_CACHE_FLOATS", 0)
+        monkeypatch.setattr(_KernelTable, "row", recorded_row)
+        assert train_smo(vectors, labels, config) == full
+        assert {limit for _, limit in sizes} == {16}
+        assert all(size <= limit for size, limit in sizes)
+        assert len(rows) > 16  # more rows than the cache holds: some were evicted
 
 
 class TestWeightVector:
