@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from enum import Enum
 
 from . import features, metrics, svm
@@ -69,29 +69,29 @@ class TriggerDecision:
 
 
 @dataclass(frozen=True)
-class BatchResult:
-    cm: metrics.ConfusionMatrix
+class BatchRecord:
+    index: int
+    size: int
+    tp: int
+    tn: int
+    fp: int
+    fn: int
     accuracy: float
     fpr: float | None
     fnr: float | None
-    scores: tuple[float, ...]
-    truths: tuple[int, ...]
 
 
-@dataclass
+@dataclass(frozen=True)
 class FilterState:
-    """The mutable filtering unit: current features, model, and bookkeeping.
-
-    `misclassified` and `batch_history` ((accuracy, fpr) per batch) cover
-    this generation only: a retrain starts both empty.
+    """One generation of the filter: its features, its model, and the
+    documents that carry the model's support vectors. Sessions may share
+    one Pass-I state; the per-generation bookkeeping lives in `run_session`.
     """
 
     generation: int
     feature_set: features.FeatureSet
     model: svm.SvmModel
     sv_documents: tuple[Document, ...]
-    misclassified: list[Document] = field(default_factory=list)
-    batch_history: list[tuple[float, float | None]] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -149,11 +149,15 @@ def run_batch_phase(
     )
 
 
-def evaluate_batch(state: FilterState, batch: LabeledCorpus):
-    """Classify one batch; returns its result and the misclassified documents.
+def evaluate_batch(state: FilterState, batch: LabeledCorpus, index: int = 0):
+    """Classify batch `index`: returns its record, the misclassified
+    documents, and each document's score and true label (+1 spam, -1
+    legitimate).
 
-    Misclassified documents are handed back with their true labels attached,
-    standing in for the user feedback the retraining pass relies on.
+    A positive score is classed spam; a score of exactly 0 is classed
+    legitimate. Misclassified documents are handed back with their true
+    labels attached, standing in for the user feedback the retraining pass
+    relies on.
     """
     if not batch.documents:
         raise DriftLoopError("cannot evaluate an empty batch")
@@ -167,15 +171,13 @@ def evaluate_batch(state: FilterState, batch: LabeledCorpus):
         doc for doc, pred, truth in zip(batch.documents, predictions, truths)
         if pred != truth
     ]
-    result = BatchResult(
-        cm=cm,
-        accuracy=accuracy,
-        fpr=fpr,
-        fnr=fnr,
-        scores=tuple(scores),
-        truths=tuple(truths),
+    record = BatchRecord(
+        index=index,
+        size=len(batch.documents),
+        tp=cm.tp, tn=cm.tn, fp=cm.fp, fn=cm.fn,
+        accuracy=accuracy, fpr=fpr, fnr=fnr,
     )
-    return result, misclassified
+    return record, misclassified, scores, truths
 
 
 def check_validation(history, config: DriftConfig, batch_index: int = -1) -> TriggerDecision:
@@ -202,12 +204,13 @@ def check_validation(history, config: DriftConfig, batch_index: int = -1) -> Tri
     return TriggerDecision(False, TriggerCause.NONE, batch_index)
 
 
-def build_retraining_set(state: FilterState, violating_batch: LabeledCorpus) -> LabeledCorpus:
-    """Union (by document id) of misclassified mail, SV carriers, and the batch."""
+def build_retraining_set(
+    state: FilterState, misclassified, violating_batch: LabeledCorpus
+) -> LabeledCorpus:
+    """Union (by document id) of this generation's misclassified mail, the
+    SV carriers, and the violating batch."""
     merged: dict[str, Document] = {}
-    for doc in list(state.misclassified) + list(state.sv_documents) + list(
-        violating_batch.documents
-    ):
+    for doc in (*misclassified, *state.sv_documents, *violating_batch.documents):
         merged[doc.id] = doc
     docs = sorted(merged.values(), key=lambda d: d.arrival_index)
     return LabeledCorpus(tuple(docs))
@@ -215,12 +218,14 @@ def build_retraining_set(state: FilterState, violating_batch: LabeledCorpus) -> 
 
 def incremental_retrain(
     state: FilterState,
+    misclassified,
     trigger: TriggerDecision,
     violating_batch: LabeledCorpus,
     config: DriftConfig,
 ) -> tuple[FilterState, int, int]:
     """Pass III: update the feature set and retrain on the retraining set.
 
+    `misclassified` is the mail misclassified since `state` was trained.
     Returns the new state, the number of features replaced, and the size
     of the retraining set. The solver restarts cold on the (small)
     retraining set because the feature space changes between generations,
@@ -229,7 +234,7 @@ def incremental_retrain(
     """
     if not trigger.fired:
         raise DriftLoopError("incremental_retrain requires a fired trigger")
-    rtrem = build_retraining_set(state, violating_batch)
+    rtrem = build_retraining_set(state, misclassified, violating_batch)
     if rtrem.n_spam == 0 or rtrem.n_legit == 0:
         raise SessionHalted(
             f"retraining set at batch {trigger.batch_index} contains a single class "
@@ -250,19 +255,6 @@ def incremental_retrain(
         sv_documents=_sv_documents(model, rtrem.documents),
     )
     return new_state, replaced, len(rtrem)
-
-
-@dataclass(frozen=True)
-class BatchRecord:
-    index: int
-    size: int
-    tp: int
-    tn: int
-    fp: int
-    fn: int
-    accuracy: float
-    fpr: float | None
-    fnr: float | None
 
 
 SESSION_FORMAT = "driftfilter-session-1"
@@ -343,46 +335,40 @@ def run_session(
     halts the session gracefully, recorded in the report.
 
     `state`, when given, is the Pass-I result of `run_batch_phase` on this
-    partition's training set and config; sessions that share it each start
-    with empty misclassified and batch-history lists.
+    partition's training set and config.
     """
     if state is None:
         state = run_batch_phase(partition.training, config)
-    else:
-        state = replace(state, misclassified=[], batch_history=[])
     records: list[BatchRecord] = []
     events: list[RetrainEvent] = []
     all_scores: list[float] = []
     all_truths: list[int] = []
-    cumulative = metrics.ConfusionMatrix()
+    # This generation's misclassified mail and (accuracy, fpr) per batch.
+    misclassified: list[Document] = []
+    history: list[tuple[float, float | None]] = []
     seen = len(partition.training.documents)
     halted = None
     for k, batch in enumerate(partition.test_batches):
-        result, misclassified = evaluate_batch(state, batch)
-        seen += len(batch.documents)
-        state.batch_history.append((result.accuracy, result.fpr))
-        state.misclassified.extend(misclassified)
-        records.append(BatchRecord(
-            index=k,
-            size=len(batch.documents),
-            tp=result.cm.tp, tn=result.cm.tn, fp=result.cm.fp, fn=result.cm.fn,
-            accuracy=result.accuracy, fpr=result.fpr, fnr=result.fnr,
-        ))
-        cumulative = cumulative + result.cm
-        all_scores.extend(result.scores)
-        all_truths.extend(result.truths)
+        record, errors, scores, truths = evaluate_batch(state, batch, k)
+        seen += record.size
+        records.append(record)
+        misclassified.extend(errors)
+        history.append((record.accuracy, record.fpr))
+        all_scores.extend(scores)
+        all_truths.extend(truths)
         if mode is SessionMode.INCREMENTAL:
-            decision = check_validation(state.batch_history, config, batch_index=k)
+            decision = check_validation(history, config, batch_index=k)
             if decision.fired:
                 try:
                     state, replaced, retrain_size = incremental_retrain(
-                        state, decision, batch, config
+                        state, misclassified, decision, batch, config
                     )
                 except SessionHalted as exc:
                     halted = str(exc)
                     logger.warning("session halted: %s", exc)
                     break
-                post_result, _ = evaluate_batch(state, batch)
+                misclassified, history = [], []
+                post = evaluate_batch(state, batch, k)[0]
                 events.append(RetrainEvent(
                     batch_index=k,
                     generation=state.generation,
@@ -390,16 +376,19 @@ def run_session(
                     replaced_features=replaced,
                     retrain_size=retrain_size,
                     cumulative_seen=seen,
-                    pre_accuracy=result.accuracy,
-                    post_accuracy=post_result.accuracy,
+                    pre_accuracy=record.accuracy,
+                    post_accuracy=post.accuracy,
                 ))
-    final = metrics.MetricsReport.from_confusion(cumulative)
+    total = metrics.ConfusionMatrix(
+        tp=sum(r.tp for r in records), tn=sum(r.tn for r in records),
+        fp=sum(r.fp for r in records), fn=sum(r.fn for r in records),
+    )
     return SessionReport(
         mode=mode.value,
         selector=config.selector,
         batches=tuple(records),
         events=tuple(events),
-        final=final,
+        final=metrics.MetricsReport.from_confusion(total),
         avg_fpr=_mean_or_none([r.fpr for r in records]),
         avg_fnr=_mean_or_none([r.fnr for r in records]),
         partition_checksum=partition_checksum(partition),

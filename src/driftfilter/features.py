@@ -383,19 +383,14 @@ def update_feature_set(
     ]
     candidates = select_top_n(counts, n)
     newcomers = [sf for sf in candidates.features if sf.term not in fs_prev.index]
-    if not newcomers:
-        return _build_feature_set(incumbents, len(incumbents)), 0
     rank = {
         sf.term: selection_rank_weight(counts.counts[sf.term], ns, nl)
         for sf in newcomers
     }
-    mean_rank = sum(rank.values()) / len(rank)
+    mean_rank = sum(rank.values()) / len(rank) if rank else 0.0
     additions = [sf for sf in newcomers if rank[sf.term] > mean_rank]
     additions.sort(key=lambda sf: (-rank[sf.term], sf.term))
     replaced = min(len(additions), len(incumbents))
-    additions = additions[:replaced]
-    if replaced == 0:
-        return _build_feature_set(incumbents, len(incumbents)), 0
     survivors = sorted(incumbents, key=lambda sf: (sf.weight, sf.term))[replaced:]
-    merged = survivors + additions
+    merged = survivors + additions[:replaced]
     return _build_feature_set(merged, len(merged)), replaced

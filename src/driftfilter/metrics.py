@@ -33,12 +33,6 @@ class ConfusionMatrix:
     def total(self) -> int:
         return self.tp + self.tn + self.fp + self.fn
 
-    def __add__(self, other: "ConfusionMatrix") -> "ConfusionMatrix":
-        return ConfusionMatrix(
-            self.tp + other.tp, self.tn + other.tn,
-            self.fp + other.fp, self.fn + other.fn,
-        )
-
 
 def confusion(predictions, truths) -> ConfusionMatrix:
     """Count outcomes from parallel sequences of +1/-1 labels (+1 = spam)."""

@@ -143,20 +143,22 @@ def _replay_incremental(partition, config):
     events = []
     batch_accuracies = []
     seen = len(partition.training.documents)
+    misclassified, history = [], []
     for k, batch in enumerate(partition.test_batches):
-        result, misclassified = evaluate_batch(state, batch)
+        record, errors, _, _ = evaluate_batch(state, batch, k)
         seen += len(batch.documents)
-        batch_accuracies.append(result.accuracy)
-        state.batch_history.append((result.accuracy, result.fpr))
-        state.misclassified.extend(misclassified)
-        decision = check_validation(state.batch_history, config, k)
+        batch_accuracies.append(record.accuracy)
+        history.append((record.accuracy, record.fpr))
+        misclassified.extend(errors)
+        decision = check_validation(history, config, k)
         if decision.fired:
             sv_count = len(state.sv_documents)
-            mcm_size = len(state.misclassified)
-            rtrem = build_retraining_set(state, batch)
+            mcm_size = len(misclassified)
+            rtrem = build_retraining_set(state, misclassified, batch)
             terms_before = set(state.feature_set.index)
             dim_before = len(state.feature_set)
-            state, _, _ = incremental_retrain(state, decision, batch, config)
+            state, _, _ = incremental_retrain(state, misclassified, decision, batch, config)
+            misclassified, history = [], []
             terms_after = set(state.feature_set.index)
             events.append({
                 "batch_index": k,

@@ -9,12 +9,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from driftfilter import cli, features
+from driftfilter import cli, driftloop, features
 from driftfilter.cli import (
     CliError, RunConfig, build_partition, dump_config, parse_config,
     read_manifest, run_experiment,
 )
-from driftfilter.corpus import load_enron, synth_drift, write_enron_layout
+from driftfilter.corpus import (
+    load_ecml, load_enron, load_pu, partition_stream, synth_drift, write_enron_layout,
+)
 
 from conftest import make_corpus
 
@@ -280,15 +282,6 @@ class TestExperiments:
         assert rows["incremental"]["retrains"] >= 1
         assert rows["incremental"]["avg_fpr"] <= rows["batch"]["avg_fpr"]
 
-    def test_sessions_on_different_partitions_rejected(self, tmp_path, monkeypatch):
-        checksums = iter(["a", "b"])
-        monkeypatch.setattr(
-            cli.driftloop, "partition_checksum", lambda partition: next(checksums)
-        )
-        config = parse_config(None, _synth_flags(tmp_path, experiment="2"))
-        with pytest.raises(CliError, match="different partitions for synth"):
-            run_experiment(config, tmp_path / "out")
-
 
 class TestCliCommands:
     def test_synth_writes_loadable_corpus(self, tmp_path, capsys):
@@ -469,6 +462,59 @@ class TestBuildPartition:
         assert sum(len(b) for b in partition.test_batches) == 6
         ids = [d.id for b in partition.test_batches for d in b.documents]
         assert len(set(ids)) == 6
+
+    def test_ecml_files_sharing_a_name_keep_distinct_ids(self, tmp_path):
+        # Both files are `task.dat` and each numbers its own lines, so only
+        # the role tells a training document from a test document.
+        paths = []
+        for folder, lines in (("a", ["1 10:2 11:1", "-1 20:2 21:1"]),
+                              ("b", ["1 10:1 12:1", "-1 20:1 22:1"])):
+            (tmp_path / folder).mkdir()
+            paths.append(tmp_path / folder / "task.dat")
+            paths[-1].write_text("\n".join(lines * 10) + "\n", encoding="utf-8")
+        config = parse_config(None, {
+            "format": "ecml", "dataset": str(paths[0]), "test_path": str(paths[1]),
+            "n_batches": 2, "n": 10,
+        })
+        entry = cli.DatasetEntry("task", "ecml", str(paths[0]), str(paths[1]))
+        partition = build_partition(entry, config)
+        docs = partition.training.documents + tuple(
+            d for batch in partition.test_batches for d in batch.documents
+        )
+        assert len({d.id for d in docs}) == len(docs) == 40
+        # Pass III's retraining set keeps every support-vector document.
+        state = driftloop.run_batch_phase(
+            partition.training, cli._drift_config(config, "tfdcr")
+        )
+        batch = partition.test_batches[0]
+        rtrem = driftloop.build_retraining_set(state, [], batch)
+        assert len(rtrem) == len(state.sv_documents) + len(batch)
+
+    @pytest.mark.parametrize("fmt", ["pu", "ecml"])
+    def test_unordered_formats_get_the_seeded_shuffle(self, tmp_path, fmt):
+        # PU and ecml corpora carry no arrival order, so even a chronological
+        # configuration partitions them under the seeded shuffle.
+        path = tmp_path / fmt
+        if fmt == "pu":
+            path.mkdir()
+            for i in range(24):
+                name = f"{i:02d}spmsg.txt" if i % 2 else f"{i:02d}legitmsg.txt"
+                words = ("offer", "cheap") if i % 2 else ("meeting", "notes")
+                (path / name).write_text(" ".join(words[:1 + i % 2]), encoding="utf-8")
+            loaded = load_pu(path)
+        else:
+            lines = [f"1 {10 + i % 3}:1" if i % 2 else f"-1 {20 + i % 3}:1"
+                     for i in range(24)]
+            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            loaded = load_ecml(path)
+        config = parse_config(None, {
+            "format": fmt, "dataset": str(path), "n_batches": 3, "seed": 5,
+            "chronological": True,
+        })
+        partition = build_partition(cli.DatasetEntry(fmt, fmt, str(path)), config)
+        fraction = config.train_fraction
+        assert partition == partition_stream(loaded, fraction, 3, False, seed=5)
+        assert partition != partition_stream(loaded, fraction, 3, True, seed=5)
 
     def test_synth_partition(self, tmp_path):
         config = parse_config(None, _synth_flags(tmp_path))

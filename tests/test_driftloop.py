@@ -109,14 +109,14 @@ class TestEvaluateBatch:
     def test_training_data_consistency(self):
         corpus_ = separable_corpus()
         state = run_batch_phase(corpus_, small_config(n=8))
-        result, misclassified = evaluate_batch(state, corpus_)
+        record, misclassified, _, _ = evaluate_batch(state, corpus_)
         assert misclassified == []
-        assert result.accuracy == 1.0
+        assert record.accuracy == 1.0
 
     def test_flipped_labels_complement(self):
         corpus_ = separable_corpus()
         state = run_batch_phase(corpus_, small_config(n=8))
-        _, base_errors = evaluate_batch(state, corpus_)
+        _, base_errors, _, _ = evaluate_batch(state, corpus_)
         flipped_docs = tuple(
             make_doc(
                 d.arrival_index,
@@ -126,18 +126,29 @@ class TestEvaluateBatch:
             for d in corpus_.documents
         )
         flipped = LabeledCorpus(flipped_docs)
-        _, flipped_errors = evaluate_batch(state, flipped)
+        _, flipped_errors, _, _ = evaluate_batch(state, flipped)
         assert len(flipped_errors) == len(corpus_.documents) - len(base_errors)
 
     def test_empty_vector_follows_bias_sign(self):
         corpus_ = separable_corpus()
         state = run_batch_phase(corpus_, small_config(n=8))
         unknown = LabeledCorpus((make_doc(99, "spam", ["zzz", "qqq"]),))
-        result, _ = evaluate_batch(state, unknown)
+        record, _, _, _ = evaluate_batch(state, unknown)
         expected = 1 if state.model.bias > 0 else -1
-        assert result.cm.tp + result.cm.fp + result.cm.tn + result.cm.fn == 1
-        predicted_spam = result.cm.tp + result.cm.fp == 1
+        assert record.tp + record.fp + record.tn + record.fn == 1
+        predicted_spam = record.tp + record.fp == 1
         assert predicted_spam == (expected == 1)
+
+    @pytest.mark.parametrize("label, outcome", [("legit", "tn"), ("spam", "fn")])
+    def test_zero_score_is_legitimate(self, label, outcome):
+        # Only a positive score flags spam; a tie at exactly 0 lets the mail
+        # through as legitimate.
+        state = run_batch_phase(separable_corpus(), small_config(n=8))
+        state = replace(state, model=replace(state.model, bias=0.0))
+        unknown = LabeledCorpus((make_doc(99, label, ["zzz", "qqq"]),))
+        record, _, scores, _ = evaluate_batch(state, unknown)
+        assert scores == [0.0]
+        assert getattr(record, outcome) == 1
 
     def test_empty_batch_error(self):
         state = run_batch_phase(separable_corpus(), small_config(n=8))
@@ -156,7 +167,7 @@ class TestIncrementalRetrain:
     def test_union_with_empty_mcm(self):
         _, partition, config, state = self._drifted_setup()
         batch = partition.test_batches[0]
-        rtrem = build_retraining_set(state, batch)
+        rtrem = build_retraining_set(state, [], batch)
         expected_ids = {d.id for d in state.sv_documents} | {
             d.id for d in batch.documents
         }
@@ -165,12 +176,11 @@ class TestIncrementalRetrain:
     def test_union_bound(self):
         _, partition, config, state = self._drifted_setup()
         batch = partition.test_batches[0]
-        _, misclassified = evaluate_batch(state, batch)
-        state.misclassified.extend(misclassified)
-        rtrem = build_retraining_set(state, batch)
+        _, misclassified, _, _ = evaluate_batch(state, batch)
+        rtrem = build_retraining_set(state, misclassified, batch)
         bound = (
             len(state.sv_documents)
-            + len(state.misclassified)
+            + len(misclassified)
             + len(batch.documents)
         )
         assert len(rtrem.documents) <= bound
@@ -179,33 +189,31 @@ class TestIncrementalRetrain:
         _, partition, config, state = self._drifted_setup()
         decision = TriggerDecision(False, TriggerCause.NONE, 0)
         with pytest.raises(DriftLoopError, match="fired"):
-            incremental_retrain(state, decision, partition.test_batches[0], config)
+            incremental_retrain(state, [], decision, partition.test_batches[0], config)
 
     def test_single_class_retraining_halts(self):
         corpus_ = separable_corpus()
         config = small_config(n=8)
         state = run_batch_phase(corpus_, config)
-        state.misclassified.clear()
         spam_only = LabeledCorpus(tuple(
             make_doc(100 + i, "spam", ["badtok1", "badtok2"]) for i in range(4)
         ))
-        state.sv_documents = tuple(
+        state = replace(state, sv_documents=tuple(
             d for d in state.sv_documents if d.label is Label.SPAM
-        )
+        ))
         decision = TriggerDecision(True, TriggerCause.ACCURACY_BELOW_RHO, 0)
         with pytest.raises(SessionHalted):
-            incremental_retrain(state, decision, spam_only, config)
+            incremental_retrain(state, [], decision, spam_only, config)
 
     def test_generation_and_mcm_reset(self):
         _, partition, config, state = self._drifted_setup()
         batch = partition.test_batches[2]  # post-drift
-        result, misclassified = evaluate_batch(state, batch)
-        state.misclassified.extend(misclassified)
-        state.batch_history.append((result.accuracy, result.fpr))
+        _, misclassified, _, _ = evaluate_batch(state, batch)
         decision = TriggerDecision(True, TriggerCause.ACCURACY_BELOW_RHO, 2)
-        new_state, replaced, _ = incremental_retrain(state, decision, batch, config)
+        new_state, replaced, _ = incremental_retrain(
+            state, misclassified, decision, batch, config
+        )
         assert new_state.generation == state.generation + 1
-        assert new_state.misclassified == [] and new_state.batch_history == []
         assert len(new_state.feature_set) == len(state.feature_set)
         added = set(new_state.feature_set.index) - set(state.feature_set.index)
         assert replaced == len(added)
@@ -213,22 +221,22 @@ class TestIncrementalRetrain:
     def test_post_retrain_improves_violating_batch(self):
         _, partition, config, state = self._drifted_setup()
         batch = partition.test_batches[2]
-        result, misclassified = evaluate_batch(state, batch)
-        assert result.accuracy < 0.9  # the drift really bites
-        state.misclassified.extend(misclassified)
+        record, misclassified, _, _ = evaluate_batch(state, batch)
+        assert record.accuracy < 0.9  # the drift really bites
         decision = TriggerDecision(True, TriggerCause.ACCURACY_BELOW_RHO, 2)
-        new_state, _, _ = incremental_retrain(state, decision, batch, config)
-        post, _ = evaluate_batch(new_state, batch)
-        assert post.accuracy > result.accuracy
+        new_state, _, _ = incremental_retrain(state, misclassified, decision, batch, config)
+        post = evaluate_batch(new_state, batch)[0]
+        assert post.accuracy > record.accuracy
 
     def test_new_svs_subset_of_retraining_set(self):
         _, partition, config, state = self._drifted_setup()
         batch = partition.test_batches[2]
-        _, misclassified = evaluate_batch(state, batch)
-        state.misclassified.extend(misclassified)
+        _, misclassified, _, _ = evaluate_batch(state, batch)
         decision = TriggerDecision(True, TriggerCause.ACCURACY_BELOW_RHO, 2)
-        rtrem = build_retraining_set(state, batch)
-        new_state, _, retrain_size = incremental_retrain(state, decision, batch, config)
+        rtrem = build_retraining_set(state, misclassified, batch)
+        new_state, _, retrain_size = incremental_retrain(
+            state, misclassified, decision, batch, config
+        )
         assert retrain_size == len(rtrem.documents)
         rtrem_ids = {d.id for d in rtrem.documents}
         assert {d.id for d in new_state.sv_documents} <= rtrem_ids
@@ -259,6 +267,52 @@ class TestRunSession:
             assert 0 < event.replaced_features
             assert event.retrain_size < event.cumulative_seen
 
+    def test_cumulative_seen_counts_through_the_violating_batch(self):
+        stream = synth_drift(0, vocab_size=160, docs_per_phase=150, overlap=0.2)
+        partition = partition_stream(stream, 1 / 3, 5)
+        report = run_session(partition, small_config(n=80), SessionMode.INCREMENTAL)
+        assert report.events
+        sizes = [len(batch) for batch in partition.test_batches]
+        for event in report.events:
+            assert event.cumulative_seen == (
+                len(partition.training) + sum(sizes[:event.batch_index + 1])
+            )
+
+    def test_retraining_set_holds_this_generations_misclassified_mail(self, monkeypatch):
+        # Pass III retrains on the mail misclassified since the last retrain,
+        # the support-vector documents and the violating batch; mail
+        # misclassified in an earlier generation is not carried over.
+        stream = synth_drift(0, vocab_size=160, docs_per_phase=150, overlap=0.2)
+        partition = partition_stream(stream, 1 / 3, 5)
+        calls = []
+        build = driftloop.build_retraining_set
+
+        def recording(state, misclassified, batch):
+            rtrem = build(state, misclassified, batch)
+            calls.append((state, batch, {d.id for d in rtrem.documents}))
+            return rtrem
+
+        monkeypatch.setattr(driftloop, "build_retraining_set", recording)
+        report = run_session(partition, small_config(n=80), SessionMode.INCREMENTAL)
+        # Per batch, the ids of the mail its score put in the wrong class.
+        wrong, pos = [], 0
+        for batch in partition.test_batches:
+            outcomes = zip(batch.documents, report.scores[pos:], report.truths[pos:])
+            wrong.append({d.id for d, s, t in outcomes if (s > 0) != (t == 1)})
+            pos += len(batch)
+        assert len(calls) == len(report.events)
+        start = earlier = stale = 0
+        for (state, batch, rtrem), event in zip(calls, report.events):
+            k = event.batch_index
+            assert set().union(*wrong[start:k + 1]) <= rtrem
+            carriers = {d.id for d in state.sv_documents + batch.documents}
+            older = set().union(*wrong[:start]) - carriers
+            assert not older & rtrem
+            earlier += len(set().union(*wrong[start:k]))
+            stale += len(older)
+            start = k + 1
+        assert earlier > 0 and stale > 0
+
     def test_batch_mode_invariant_to_rho(self):
         stream = synth_drift(2, vocab_size=120, docs_per_phase=100, overlap=0.3)
         partition = partition_stream(stream, 1 / 3, 4)
@@ -272,13 +326,17 @@ class TestRunSession:
         config = small_config(n=80)
         state = run_batch_phase(partition.training, config)
         dim0 = len(state.feature_set)
+        misclassified, history = [], []
         for k, batch in enumerate(partition.test_batches):
-            result, misclassified = evaluate_batch(state, batch)
-            state.batch_history.append((result.accuracy, result.fpr))
-            state.misclassified.extend(misclassified)
-            decision = check_validation(state.batch_history, config, k)
+            record, errors, _, _ = evaluate_batch(state, batch, k)
+            history.append((record.accuracy, record.fpr))
+            misclassified.extend(errors)
+            decision = check_validation(history, config, k)
             if decision.fired:
-                state, _, _ = incremental_retrain(state, decision, batch, config)
+                state, _, _ = incremental_retrain(
+                    state, misclassified, decision, batch, config
+                )
+                misclassified, history = [], []
                 assert len(state.feature_set) == dim0
                 terms = [sf.term for sf in state.feature_set.features]
                 assert len(terms) == len(set(terms))
@@ -299,7 +357,7 @@ class TestRunSession:
         for mode in (SessionMode.INCREMENTAL, SessionMode.BATCH, SessionMode.INCREMENTAL):
             shared = run_session(partition, config, mode, state)
             assert shared.to_json() == run_session(partition, config, mode).to_json()
-        assert state.misclassified == [] and state.batch_history == []
+        assert state == run_batch_phase(partition.training, config)
 
     @pytest.mark.parametrize("selector", ["tfdcr", "chi"])
     def test_reports_do_not_depend_on_interning_order(self, selector):
