@@ -122,13 +122,22 @@ def _coerce(key: str, raw: str):
         raise CliError(f"{key} has a malformed value: {raw!r}") from None
 
 
+def _read_utf8(path) -> str:
+    """The text of an input file; one that is not UTF-8 is a `CliError`."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise CliError(
+            f"{path}: not UTF-8 text ({exc.reason} at offset {exc.start})"
+        ) from None
+
+
 def _content_lines(path):
     """(line number, stripped text) of each line not blank once `#` comments are cut."""
-    with open(path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            stripped = line.split("#", 1)[0].strip()
-            if stripped:
-                yield line_no, stripped
+    for line_no, line in enumerate(_read_utf8(path).split("\n"), start=1):
+        stripped = line.split("#", 1)[0].strip()
+        if stripped:
+            yield line_no, stripped
 
 
 def read_config_file(path) -> dict:
@@ -448,8 +457,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    text = Path(args.session).read_text(encoding="utf-8")
-    report = driftloop.SessionReport.from_json(text)
+    report = driftloop.SessionReport.from_json(_read_utf8(args.session))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     stem = args.name or Path(args.session).name.removesuffix(".json").removesuffix(".session")

@@ -34,7 +34,6 @@ class CorpusError(Exception):
 class Label(Enum):
     SPAM = "spam"
     LEGITIMATE = "legitimate"
-    UNLABELED = "unlabeled"
 
 
 class TermTable:
@@ -479,11 +478,6 @@ def write_enron_layout(corpus: LabeledCorpus, dir_path) -> None:
     for sub in ("spam", "ham"):
         (root / sub).mkdir(parents=True, exist_ok=True)
     for doc in corpus.documents:
-        if doc.label is Label.SPAM:
-            sub = "spam"
-        elif doc.label is Label.LEGITIMATE:
-            sub = "ham"
-        else:
-            continue
+        sub = "spam" if doc.label is Label.SPAM else "ham"
         path = root / sub / f"{doc.arrival_index:05d}.txt"
         path.write_text(" ".join(doc.tokens) + "\n", encoding="utf-8")

@@ -107,24 +107,22 @@ class RetrainEvent:
 
 
 def _label_to_int(label: Label) -> int:
-    if label is Label.SPAM:
-        return 1
-    if label is Label.LEGITIMATE:
-        return -1
-    raise DriftLoopError("evaluation requires labeled documents")
+    return 1 if label is Label.SPAM else -1
 
 
-def _train_on(docs, fs: features.FeatureSet, config: DriftConfig) -> svm.SvmModel:
+def _generation(
+    number: int, docs, fs: features.FeatureSet, config: DriftConfig
+) -> FilterState:
+    """Generation `number`: the model trained on `docs` under `fs`, with the
+    documents that carry its support vectors."""
     vectors = features.vectorize_all(docs, fs)
     labels = [_label_to_int(d.label) for d in docs]
-    return svm.train_smo(
+    model = svm.train_smo(
         vectors, labels, config.train_config, doc_ids=[d.id for d in docs]
     )
-
-
-def _sv_documents(model: svm.SvmModel, docs) -> tuple[Document, ...]:
     by_id = {d.id: d for d in docs}
-    return tuple(by_id[doc_id] for doc_id in model.sv_doc_ids)
+    sv_documents = tuple(by_id[doc_id] for doc_id in model.sv_doc_ids)
+    return FilterState(number, fs, model, sv_documents)
 
 
 def run_batch_phase(
@@ -140,13 +138,7 @@ def run_batch_phase(
     if counts is None:
         counts = features.count_stats(training)
     fs = features.select(config.selector, counts, config.feature_dim)
-    model = _train_on(training.documents, fs, config)
-    return FilterState(
-        generation=0,
-        feature_set=fs,
-        model=model,
-        sv_documents=_sv_documents(model, training.documents),
-    )
+    return _generation(0, training.documents, fs, config)
 
 
 def evaluate_batch(state: FilterState, batch: LabeledCorpus, index: int = 0):
@@ -243,16 +235,10 @@ def incremental_retrain(
     fs_new, replaced = features.update_feature_set(
         state.feature_set, rtrem, len(state.feature_set)
     )
-    model = _train_on(rtrem.documents, fs_new, config)
+    new_state = _generation(state.generation + 1, rtrem.documents, fs_new, config)
     logger.info(
         "retrained at batch %d: generation %d, %d features replaced, %d documents",
-        trigger.batch_index, state.generation + 1, replaced, len(rtrem),
-    )
-    new_state = FilterState(
-        generation=state.generation + 1,
-        feature_set=fs_new,
-        model=model,
-        sv_documents=_sv_documents(model, rtrem.documents),
+        trigger.batch_index, new_state.generation, replaced, len(rtrem),
     )
     return new_state, replaced, len(rtrem)
 

@@ -30,7 +30,6 @@ class FeatureError(Exception):
 class FeatureCounts:
     """Raw per-term class statistics: total occurrences and document counts."""
 
-    term: str
     tf_spam: int = 0
     tf_legit: int = 0
     df_spam: int = 0
@@ -136,9 +135,6 @@ class SparseVector:
             and np.array_equal(self.weights, other.weights)
         )
 
-    def __hash__(self) -> int:
-        return hash((self.positions.tobytes(), self.weights.tobytes(), self.feature_tag))
-
 
 def _token_ids(docs):
     """(row, id) arrays over every token of `docs`, row = index in `docs`."""
@@ -151,8 +147,7 @@ def _token_ids(docs):
 def count_stats(corpus: LabeledCorpus) -> CorpusCounts:
     """Exact term and document occurrence counts per class.
 
-    Unlabeled documents are excluded; a corpus without any labeled document
-    is an error.
+    An empty corpus is an error.
     """
     n_spam = corpus.n_spam
     n_legit = corpus.n_legit
@@ -173,7 +168,7 @@ def count_stats(corpus: LabeledCorpus) -> CorpusCounts:
     present = np.flatnonzero(tf_spam + tf_legit)
     terms = TERMS.terms
     counts = {
-        terms[i]: FeatureCounts(terms[i], ts, tl, ds, dl)
+        terms[i]: FeatureCounts(ts, tl, ds, dl)
         for i, ts, tl, ds, dl in zip(
             present.tolist(), tf_spam[present].tolist(), tf_legit[present].tolist(),
             df_spam[present].tolist(), df_legit[present].tolist(),

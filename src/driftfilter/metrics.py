@@ -168,8 +168,6 @@ def roc_points(scores, truths) -> list[tuple[float, float]]:
                 fp += 1
             i += 1
         points.append((fp / n_neg, tp / n_pos))
-    if points[-1] != (1.0, 1.0):
-        points.append((1.0, 1.0))
     return _drop_collinear(points)
 
 

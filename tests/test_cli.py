@@ -398,7 +398,23 @@ class TestCliCommands:
         assert rows[0]["dataset"] == "pu"
         assert float(rows[0]["accuracy"]) == 1.0
 
-    def test_error_exit_code_and_message(self, capsys, monkeypatch, tmp_path):
+    def test_error_exit_code_and_message(
+        self, capsys, monkeypatch, tmp_path, tmp_path_factory
+    ):
+        # Input files live outside the working directory, which must stay empty.
+        inputs = tmp_path_factory.mktemp("inputs")
+        for name, data in (
+            ("latin1.conf", b"seed = \xff\n"),
+            ("latin1.manifest", b"a synth unused\n\xfe\n"),
+            ("latin1.session.json", b'{"format": "\xff"}\n'),
+            ("choice.conf", b"selector = bayes\n"),
+            ("bool.conf", b"chronological = maybe\n"),
+            ("no_equals.conf", b"seed 7\n"),
+            ("format.manifest", b"a mbox data.txt\n"),
+            ("spam_only.dat", b"1 10:2 11:1\n1 10:1 12:1\n"),
+            ("mixed.dat", b"1 10:1\n-1 20:1\n"),
+        ):
+            (inputs / name).write_bytes(data)
         monkeypatch.chdir(tmp_path)
         for argv, named in (
             (["run", "--format", "enron", "--dataset", "/nonexistent"], "/nonexistent"),
@@ -421,6 +437,31 @@ class TestCliCommands:
              "dataset cannot be set together with manifest"),
             (["run", "--manifest", "ds.manifest", "--test-path", "/nonexistent/x.dat"],
              "test_path cannot be set together with manifest"),
+            # Input files that are not UTF-8 text.
+            (["run", "--config", str(inputs / "latin1.conf")],
+             f"{inputs / 'latin1.conf'}: not UTF-8 text"),
+            (["run", "--manifest", str(inputs / "latin1.manifest")],
+             f"{inputs / 'latin1.manifest'}: not UTF-8 text"),
+            (["report", "--session", str(inputs / "latin1.session.json"), "--out", "out"],
+             f"{inputs / 'latin1.session.json'}: not UTF-8 text"),
+            # Range checks of RunConfig.validate; `config dump` reads no data.
+            (["config", "dump", "--train-fraction", "1.5"], "train_fraction must be"),
+            (["config", "dump", "--n-batches", "0"], "n_batches must be"),
+            (["config", "dump", "--synth-overlap", "1.5"], "synth_overlap must be"),
+            # A choice given in a file (argparse rejects the same flag itself).
+            (["config", "dump", "--config", str(inputs / "choice.conf")],
+             "selector must be one of"),
+            (["config", "dump", "--config", str(inputs / "bool.conf")],
+             "chronological must be true or false"),
+            (["config", "dump", "--config", str(inputs / "no_equals.conf")],
+             f"{inputs / 'no_equals.conf'}:1: expected `key = value`"),
+            (["run", "--manifest", str(inputs / "format.manifest")],
+             f"{inputs / 'format.manifest'}:1: unknown format 'mbox'"),
+            # A training set of one class, under every selector.
+            *((["run", "--format", "ecml", "--dataset", str(inputs / "spam_only.dat"),
+                "--test-path", str(inputs / "mixed.dat"), "--n-batches", "1",
+                "--selector", selector], "both classes")
+              for selector in features.SELECTORS),
         ):
             code = cli.main(argv)
             assert code == 2, argv

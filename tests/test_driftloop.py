@@ -5,9 +5,10 @@ from dataclasses import replace
 
 import pytest
 
-from driftfilter import driftloop, svm
+from driftfilter import cli, driftloop, features, svm
 from driftfilter.corpus import (
-    TERMS, Document, Label, LabeledCorpus, partition_stream, synth_drift,
+    TERMS, Document, Label, LabeledCorpus, StreamPartition, partition_stream,
+    synth_drift,
 )
 from driftfilter.driftloop import (
     DriftConfig, DriftLoopError, FprTrigger, SessionHalted, SessionMode,
@@ -99,6 +100,23 @@ class TestRunBatchPhase:
         assert a.feature_set == b.feature_set
         assert a.model == b.model
         assert a.sv_documents == b.sv_documents
+
+    @pytest.mark.parametrize("label", ["spam", "legit"])
+    @pytest.mark.parametrize("selector, error, message", [
+        ("tfdcr", features.FeatureError, "discriminative weights require both classes"),
+        ("ig", features.FeatureError, "ig requires both classes"),
+        ("igr", features.FeatureError, "igr requires both classes"),
+        ("chi", svm.SvmError, "training requires both classes"),
+        ("gini", svm.SvmError, "training requires both classes"),
+        ("cfs", svm.SvmError, "training requires both classes"),
+    ])
+    def test_single_class_training_raises_a_named_error(
+        self, selector, error, message, label
+    ):
+        training = make_corpus([(label, ["aa", "bb"]), (label, ["bb", "cc"])])
+        config = small_config(n=5, selector=selector)
+        with pytest.raises(error, match=message):
+            run_batch_phase(training, config)
 
     def test_sv_documents_match_model(self):
         state = run_batch_phase(separable_corpus(), small_config(n=8))
@@ -312,6 +330,32 @@ class TestRunSession:
             stale += len(older)
             start = k + 1
         assert earlier > 0 and stale > 0
+
+    def test_single_class_retraining_set_halts_the_session(self):
+        # With C = 1e-12 no multiplier exceeds alpha_epsilon: the model has no
+        # support vectors and scores its bias, 0, so every mail is classed
+        # legitimate. The all-spam first batch then fires the accuracy
+        # trigger, and its retraining set holds spam only.
+        config = DriftConfig(feature_dim=8, train_config=svm.TrainConfig(C=1e-12))
+        spam = LabeledCorpus(tuple(
+            make_doc(100 + i, "spam", ["badtok1", "badtok2"]) for i in range(4)
+        ))
+        mixed = LabeledCorpus((
+            make_doc(104, "spam", ["badtok1"]), make_doc(105, "legit", ["goodtok1"]),
+        ))
+        partition = StreamPartition(separable_corpus(), (spam, mixed))
+        report = run_session(partition, config, SessionMode.INCREMENTAL)
+        assert report.halted == (
+            "retraining set at batch 0 contains a single class "
+            "(4 spam / 0 legitimate)"
+        )
+        assert len(report.batches) == 1  # the session stops at the halt
+        assert report.batches[0].fn == 4
+        assert report.events == ()
+        assert len(report.scores) == 4
+        row = cli._table_row("synth", "tfdcr", report)
+        assert row["halted"] == report.halted
+        assert row["retrains"] == 0
 
     def test_batch_mode_invariant_to_rho(self):
         stream = synth_drift(2, vocab_size=120, docs_per_phase=100, overlap=0.3)

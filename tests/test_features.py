@@ -41,7 +41,7 @@ def _counter_counts(corpus_):
     spam, legit = Label.SPAM, Label.LEGITIMATE
     return {
         term: FeatureCounts(
-            term, tf[spam][term], tf[legit][term], df[spam][term], df[legit][term]
+            tf[spam][term], tf[legit][term], df[spam][term], df[legit][term]
         )
         for term in set(tf[spam]) | set(tf[legit])
     }
@@ -78,13 +78,13 @@ class TestCountStats:
     def test_single_spam_doc(self):
         c = make_corpus([("spam", ["a", "a", "b"])])
         stats = count_stats(c)
-        assert stats.counts["a"] == FeatureCounts("a", tf_spam=2, df_spam=1)
-        assert stats.counts["b"] == FeatureCounts("b", tf_spam=1, df_spam=1)
+        assert stats.counts["a"] == FeatureCounts(tf_spam=2, df_spam=1)
+        assert stats.counts["b"] == FeatureCounts(tf_spam=1, df_spam=1)
 
     def test_duplicated_doc(self):
         c = make_corpus([("spam", ["a", "a", "b"]), ("spam", ["a", "a", "b"])])
         stats = count_stats(c)
-        assert stats.counts["a"] == FeatureCounts("a", tf_spam=4, df_spam=2)
+        assert stats.counts["a"] == FeatureCounts(tf_spam=4, df_spam=2)
 
     def test_matches_naive_recount(self):
         rng = random.Random(77)
@@ -100,11 +100,6 @@ class TestCountStats:
                 assert (fc.tf_spam, fc.tf_legit, fc.df_spam, fc.df_legit) == (
                     tf_s, tf_l, df_s, df_l,
                 )
-
-    def test_unlabeled_error(self):
-        c = LabeledCorpus((make_doc(0, Label.UNLABELED, ["x"]),))
-        with pytest.raises(FeatureError):
-            count_stats(c)
 
     @given(st.lists(st.tuples(
         st.sampled_from(list(Label)), st.lists(_TERM_TEXT, max_size=30),
@@ -128,15 +123,15 @@ class TestCountStats:
 
 class TestTfdcrWeight:
     def test_hand_example(self):
-        fc = FeatureCounts("x", tf_spam=5, tf_legit=1, df_spam=2, df_legit=1)
+        fc = FeatureCounts(tf_spam=5, tf_legit=1, df_spam=2, df_legit=1)
         assert tfdcr_weight(fc, 2, 2) == 8.0
 
     def test_equal_frequencies_zero(self):
-        fc = FeatureCounts("x", tf_spam=3, tf_legit=3, df_spam=2, df_legit=1)
+        fc = FeatureCounts(tf_spam=3, tf_legit=3, df_spam=2, df_legit=1)
         assert tfdcr_weight(fc, 4, 4) == 0.0
 
     def test_smoothed_exclusive(self):
-        fc = FeatureCounts("x", tf_spam=4, tf_legit=0, df_spam=2, df_legit=0)
+        fc = FeatureCounts(tf_spam=4, tf_legit=0, df_spam=2, df_legit=0)
         assert tfdcr_weight(fc, 2, 2) == 16.0
 
     def test_nonnegative_and_product_at_least_one_when_unsmoothed(self):
@@ -146,7 +141,7 @@ class TestTfdcrWeight:
             df_s, df_l = rng.randint(1, ns), rng.randint(1, nl)
             tf_s = rng.randint(df_s, df_s * 5)
             tf_l = rng.randint(df_l, df_l * 5)
-            fc = FeatureCounts("x", tf_s, tf_l, df_s, df_l)
+            fc = FeatureCounts(tf_s, tf_l, df_s, df_l)
             weight = tfdcr_weight(fc, ns, nl)
             assert weight >= 0.0
             delta = abs(tf_s - tf_l)
@@ -159,7 +154,7 @@ class TestTfdcrWeight:
         # equal ratios, zero df on the other side: ordering by tf delta
         weights = []
         for tf in (2, 5, 9):
-            fc = FeatureCounts("x", tf_spam=tf, tf_legit=0, df_spam=2, df_legit=0)
+            fc = FeatureCounts(tf_spam=tf, tf_legit=0, df_spam=2, df_legit=0)
             weights.append(tfdcr_weight(fc, 4, 4))
         assert weights == sorted(weights)
 
@@ -168,9 +163,9 @@ class TestSelectTopN:
     def test_tie_break_lexicographic(self):
         counts = CorpusCounts(
             counts={
-                "bb": FeatureCounts("bb", 5, 1, 2, 1),
-                "aa": FeatureCounts("aa", 5, 1, 2, 1),
-                "cc": FeatureCounts("cc", 3, 3, 1, 1),
+                "bb": FeatureCounts(5, 1, 2, 1),
+                "aa": FeatureCounts(5, 1, 2, 1),
+                "cc": FeatureCounts(3, 3, 1, 1),
             },
             n_spam=2, n_legit=2,
         )
@@ -181,8 +176,8 @@ class TestSelectTopN:
     def test_single_top(self):
         counts = CorpusCounts(
             counts={
-                "aa": FeatureCounts("aa", 9, 0, 2, 0),
-                "bb": FeatureCounts("bb", 1, 1, 1, 1),
+                "aa": FeatureCounts(9, 0, 2, 0),
+                "bb": FeatureCounts(1, 1, 1, 1),
             },
             n_spam=2, n_legit=2,
         )
@@ -191,7 +186,7 @@ class TestSelectTopN:
 
     def test_vocabulary_smaller_than_n(self):
         counts = CorpusCounts(
-            counts={"aa": FeatureCounts("aa", 2, 1, 1, 1)}, n_spam=1, n_legit=1
+            counts={"aa": FeatureCounts(2, 1, 1, 1)}, n_spam=1, n_legit=1
         )
         fs = select_top_n(counts, 50)
         assert len(fs) == 1
@@ -231,15 +226,15 @@ class TestSelectTopN:
 
 class TestSelectionRankWeight:
     def test_zero_when_frequencies_equal(self):
-        fc = FeatureCounts("x", tf_spam=4, tf_legit=4, df_spam=3, df_legit=1)
+        fc = FeatureCounts(tf_spam=4, tf_legit=4, df_spam=3, df_legit=1)
         assert selection_rank_weight(fc, 4, 4) == 0.0
 
     def test_spam_only(self):
-        fc = FeatureCounts("x", tf_spam=7, tf_legit=0, df_spam=3, df_legit=0)
+        fc = FeatureCounts(tf_spam=7, tf_legit=0, df_spam=3, df_legit=0)
         assert selection_rank_weight(fc, 4, 4) == 0.75
 
     def test_mixed(self):
-        fc = FeatureCounts("x", tf_spam=6, tf_legit=2, df_spam=2, df_legit=1)
+        fc = FeatureCounts(tf_spam=6, tf_legit=2, df_spam=2, df_legit=1)
         assert selection_rank_weight(fc, 4, 4) == 0.125
 
     def test_bounds_and_symmetry(self):
@@ -251,8 +246,8 @@ class TestSelectionRankWeight:
             tf_l = rng.randint(df_l, df_l * 4) if df_l else 0
             if tf_s + tf_l == 0:
                 continue
-            fc = FeatureCounts("x", tf_s, tf_l, df_s, df_l)
-            swapped = FeatureCounts("x", tf_l, tf_s, df_l, df_s)
+            fc = FeatureCounts(tf_s, tf_l, df_s, df_l)
+            swapped = FeatureCounts(tf_l, tf_s, df_l, df_s)
             value = selection_rank_weight(fc, ns, nl)
             assert 0.0 <= value <= 1.0
             assert value == selection_rank_weight(swapped, nl, ns)
@@ -398,7 +393,8 @@ class TestSparseVector:
     def test_equality_and_hash(self):
         a = SparseVector([0, 2], [0.6, 0.8], "t")
         assert a == SparseVector(np.array([0, 2]), (0.6, 0.8), "t")
-        assert hash(a) == hash(SparseVector([0, 2], [0.6, 0.8], "t"))
+        with pytest.raises(TypeError):  # equal by value, so not hashable
+            hash(a)
         assert a != SparseVector([0, 2], [0.6, 0.8], "u")
         assert a != SparseVector([0, 1], [0.6, 0.8], "t")
         assert a.entries == ((0, 0.6), (2, 0.8))

@@ -78,6 +78,9 @@ REFERENCE = [
     ("homologou", "homolog"),
     ("homologous", "homolog"),
     ("angulariti", "angular"),
+    # Step 4: (m>1 and (*S or *T)) ION -> "".
+    ("opinion", "opinion"),  # stem opin has m=2 but ends in n
+    ("ion", "ion"),  # empty stem
 ]
 
 # Each step's rule table beside the tuple it is built from.
