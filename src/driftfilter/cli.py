@@ -48,7 +48,6 @@ class RunConfig:
     output_dir: str = "out"
     train_fraction: float = 1.0 / 3.0
     n_batches: int = 10
-    chronological: bool = True
     experiment: str = "single"
     fpr_trigger: str = "prev_batch"
     manifest: str | None = None
@@ -75,6 +74,8 @@ class RunConfig:
             )
         if self.n_batches < 1:
             raise CliError(f"n_batches must be >= 1, got {self.n_batches}")
+        if self.experiment == "1" and self.mode != "batch":
+            raise CliError("experiment 1 requires mode = batch")
         if self.kernel == "rbf" and self.gamma is None:
             raise CliError("kernel rbf requires a finite gamma > 0, got None")
         if self.gamma is not None and not 0.0 < self.gamma < math.inf:
@@ -103,29 +104,22 @@ _CHOICES = {
     "fpr_trigger": tuple(t.value for t in driftloop.FprTrigger),
 }
 # Scalar type of each key, from its annotation: "float | None" -> float.
-_SCALARS = {"bool": bool, "int": int, "float": float, "str": str}
+_SCALARS = {"int": int, "float": float, "str": str}
 _TYPES = {f.name: _SCALARS[f.type.split(" | ")[0]] for f in fields(RunConfig)}
 
 
 def _coerce(key: str, raw: str):
-    kind = _TYPES[key]
-    if kind is bool:
-        value = raw.strip().lower()
-        if value in ("true", "1", "yes"):
-            return True
-        if value in ("false", "0", "no"):
-            return False
-        raise CliError(f"{key} must be true or false, got {raw!r}")
     try:
-        return kind(raw)
+        return _TYPES[key](raw)
     except ValueError:
         raise CliError(f"{key} has a malformed value: {raw!r}") from None
 
 
 def _read_utf8(path) -> str:
-    """The text of an input file; one that is not UTF-8 is a `CliError`."""
+    """The text of an input file, without a leading byte-order mark; one
+    that is not UTF-8 is a `CliError`."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise CliError(
             f"{path}: not UTF-8 text ({exc.reason} at offset {exc.start})"
@@ -182,9 +176,7 @@ def dump_config(config: RunConfig) -> str:
         value = getattr(config, f.name)
         if value is None:
             continue
-        if isinstance(value, bool):
-            text = "true" if value else "false"
-        elif isinstance(value, float):
+        if isinstance(value, float):
             text = repr(value)
         else:
             text = str(value)
@@ -293,12 +285,11 @@ def build_partition(entry: DatasetEntry, config: RunConfig) -> corpus.StreamPart
             _in_role(test.documents, "test", offset), config.n_batches
         )
         return corpus.StreamPartition(training, batches)
-    chronological = config.chronological and entry.format in ("enron", "synth")
     return corpus.partition_stream(
         training,
         config.train_fraction,
         config.n_batches,
-        chronological=chronological,
+        chronological=entry.format in ("enron", "synth"),
         seed=config.seed,
     )
 
@@ -381,8 +372,6 @@ def run_experiment(config: RunConfig, out_dir: Path) -> ExperimentTable:
     """
     selectors, modes = (config.selector,), (config.mode,)
     if config.experiment == "1":
-        if config.mode != "batch":
-            raise CliError("experiment 1 requires mode = batch")
         selectors = features.SELECTORS
     elif config.experiment == "2":
         modes = ("batch", "incremental")
@@ -419,15 +408,10 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_key_flags(parser: argparse.ArgumentParser, keys) -> None:
-    """One `--key-name` flag per configuration key; `--x`/`--no-x` for a bool."""
+    """One `--key-name` flag per configuration key."""
     for key in keys:
         flag = "--" + key.replace("_", "-")
-        if _TYPES[key] is bool:
-            parser.add_argument(flag, action="store_true", default=None)
-            parser.add_argument(
-                "--no-" + flag[2:], action="store_false", dest=key, default=None
-            )
-        elif key in _CHOICES:
+        if key in _CHOICES:
             parser.add_argument(flag, choices=_CHOICES[key])
         else:
             parser.add_argument(flag, type=_TYPES[key])

@@ -296,14 +296,15 @@ def load_ecml(file_path) -> LabeledCorpus:
 
     The label marker is 1 (spam) or -1 (legitimate). Tokens are the id
     strings repeated `count` times; the preprocessing pipeline is skipped
-    because the data is already tokenized.
+    because the data is already tokenized. A leading byte-order mark is
+    skipped.
     """
     path = Path(file_path)
     if not path.is_file():
         raise CorpusError(f"dataset file not found: {path}")
     docs = []
     arrival = 0
-    with open(path, encoding="utf-8", errors="replace") as handle:
+    with open(path, encoding="utf-8-sig", errors="replace") as handle:
         for line_no, line in enumerate(handle, start=1):
             parts = line.split()
             if not parts:

@@ -232,9 +232,7 @@ def incremental_retrain(
             f"retraining set at batch {trigger.batch_index} contains a single class "
             f"({rtrem.n_spam} spam / {rtrem.n_legit} legitimate)"
         )
-    fs_new, replaced = features.update_feature_set(
-        state.feature_set, rtrem, len(state.feature_set)
-    )
+    fs_new, replaced = features.update_feature_set(state.feature_set, rtrem)
     new_state = _generation(state.generation + 1, rtrem.documents, fs_new, config)
     logger.info(
         "retrained at batch %d: generation %d, %d features replaced, %d documents",

@@ -121,11 +121,6 @@ class SparseVector:
         object.__setattr__(vec, "feature_tag", feature_tag)
         return vec
 
-    @property
-    def entries(self) -> tuple[tuple[int, float], ...]:
-        """(position, weight) pairs, as Python numbers."""
-        return tuple(zip(self.positions.tolist(), self.weights.tolist()))
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, SparseVector):
             return NotImplemented
@@ -353,16 +348,17 @@ def vectorize(doc: Document, fs: FeatureSet) -> SparseVector:
 
 
 def update_feature_set(
-    fs_prev: FeatureSet, retrain_corpus: LabeledCorpus, n: int
+    fs_prev: FeatureSet, retrain_corpus: LabeledCorpus
 ) -> tuple[FeatureSet, int]:
     """Swap weak incumbents for strong newcomers found in the retraining set.
 
-    Candidates are the top-n discriminative features of the retraining
-    corpus; of the candidates not already present, those whose selection
-    rank weight strictly exceeds the candidates' mean are added, and an
-    equal number of incumbents with the lowest (recomputed) discriminative
-    weight is removed. Dimensionality is preserved exactly; all weights in
-    the result are on the retraining-corpus scale.
+    Candidates are the top `len(fs_prev)` discriminative features of the
+    retraining corpus; of the candidates not already present, those whose
+    selection rank weight strictly exceeds the mean over these newcomers
+    are added, and an equal number of incumbents with the lowest
+    (recomputed) discriminative weight is removed. Dimensionality is
+    preserved exactly; all weights in the result are on the
+    retraining-corpus scale.
     """
     counts = count_stats(retrain_corpus)
     ns, nl = counts.n_spam, counts.n_legit
@@ -376,7 +372,7 @@ def update_feature_set(
     incumbents = [
         ScoredFeature(sf.term, refreshed_weight(sf.term)) for sf in fs_prev.features
     ]
-    candidates = select_top_n(counts, n)
+    candidates = select_top_n(counts, len(fs_prev))
     newcomers = [sf for sf in candidates.features if sf.term not in fs_prev.index]
     rank = {
         sf.term: selection_rank_weight(counts.counts[sf.term], ns, nl)
@@ -384,8 +380,8 @@ def update_feature_set(
     }
     mean_rank = sum(rank.values()) / len(rank) if rank else 0.0
     additions = [sf for sf in newcomers if rank[sf.term] > mean_rank]
-    additions.sort(key=lambda sf: (-rank[sf.term], sf.term))
-    replaced = min(len(additions), len(incumbents))
+    # There are no more candidates than incumbents, so every addition fits.
+    replaced = len(additions)
     survivors = sorted(incumbents, key=lambda sf: (sf.weight, sf.term))[replaced:]
-    merged = survivors + additions[:replaced]
+    merged = survivors + additions
     return _build_feature_set(merged, len(merged)), replaced

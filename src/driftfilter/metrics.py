@@ -186,14 +186,6 @@ def _drop_collinear(points):
     return kept
 
 
-def auc(points) -> float:
-    """Trapezoidal area under a (fpr, tpr) point sequence."""
-    area = 0.0
-    for (x0, y0), (x1, y1) in zip(points, points[1:]):
-        area += (x1 - x0) * (y0 + y1) / 2.0
-    return area
-
-
 def write_roc_tsv(points, path) -> None:
     """Two-column TSV (fpr, tpr), one point per line."""
     with open(path, "w", encoding="utf-8", newline="\n") as handle:

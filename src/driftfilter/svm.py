@@ -25,6 +25,7 @@ logger = logging.getLogger(__name__)
 
 _TAU = 1e-12  # curvature floor for a pair with K_ii + K_jj - 2 K_ij <= 0
 _ROW_CACHE_FLOATS = 1 << 25  # kernel-row cache budget, roughly 256 MB
+ALPHA_EPSILON = 1e-8  # a multiplier above this makes its example a support vector
 
 KERNELS = ("linear", "rbf")
 
@@ -39,14 +40,15 @@ class TrainConfig:
     kernel: str = "linear"  # one of KERNELS
     gamma: float | None = None
     kkt_tolerance: float = 1e-3
-    alpha_epsilon: float = 1e-8
     max_passes: int = 10_000
 
     def __post_init__(self):
         if not 0.0 < self.C < math.inf:
             raise SvmError(f"C must be finite and positive, got {self.C}")
-        if self.kkt_tolerance <= 0 or self.alpha_epsilon <= 0:
-            raise SvmError("tolerances must be positive")
+        if not 0.0 < self.kkt_tolerance < math.inf:
+            raise SvmError(
+                f"kkt_tolerance must be finite and positive, got {self.kkt_tolerance}"
+            )
         if self.kernel not in KERNELS:
             raise SvmError(f"unsupported kernel: {self.kernel!r}")
         if self.kernel == "rbf" and self.gamma is None:
@@ -251,7 +253,7 @@ def train_smo(vectors, labels, config: TrainConfig, doc_ids=None) -> SvmModel:
     if not converged:
         logger.warning("SMO hit max_passes=%d before converging", config.max_passes)
 
-    keep = [i for i in range(len(vectors)) if alpha[i] > config.alpha_epsilon]
+    keep = [i for i in range(len(vectors)) if alpha[i] > ALPHA_EPSILON]
     return SvmModel(
         alphas=tuple(float(alpha[i]) for i in keep),
         sv_labels=tuple(int(labels[i]) for i in keep),

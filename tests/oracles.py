@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 
+from driftfilter.svm import ALPHA_EPSILON
+
 
 # ---------------------------------------------------------------------------
 # Brute-force feature statistics and discriminative-weight ranking
@@ -258,10 +260,15 @@ def wss2_reference(row, diag, y, config):
 # SVM kernel, dual objective and KKT conditions, one pair at a time
 
 
+def entries(vector):
+    """(position, weight) pairs of a sparse vector, as Python numbers."""
+    return tuple(zip(vector.positions.tolist(), vector.weights.tolist()))
+
+
 def kernel_eval(config, x, y):
     """Kernel value of two sparse vectors from their (position, weight) pairs:
     the dot product, or exp(-gamma * squared distance) for rbf."""
-    xs, ys = dict(x.entries), dict(y.entries)
+    xs, ys = dict(entries(x)), dict(entries(y))
     if config.kernel == "linear":
         return sum(w * ys[p] for p, w in xs.items() if p in ys)
     distance = sum(
@@ -298,7 +305,7 @@ def kkt_violations(vectors, labels, model, doc_ids=None):
     if doc_ids is None:
         doc_ids = [str(i) for i in range(len(vectors))]
     alpha_by_id = dict(zip(model.sv_doc_ids, model.alphas))
-    eps, C = model.config.alpha_epsilon, model.config.C
+    eps, C = ALPHA_EPSILON, model.config.C
     violations = []
     for doc_id, label, x in zip(doc_ids, labels, vectors):
         alpha = alpha_by_id.get(str(doc_id), 0.0)
@@ -313,7 +320,15 @@ def kkt_violations(vectors, labels, model, doc_ids=None):
 
 
 # ---------------------------------------------------------------------------
-# Pairwise-comparison AUC
+# Trapezoidal and pairwise-comparison AUC
+
+
+def auc(points):
+    """Trapezoidal area under a (fpr, tpr) point sequence."""
+    area = 0.0
+    for (x0, y0), (x1, y1) in zip(points, points[1:]):
+        area += (x1 - x0) * (y0 + y1) / 2.0
+    return area
 
 
 def wilcoxon_auc(scores, truths):

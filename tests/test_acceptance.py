@@ -83,7 +83,7 @@ def test_criterion_2_smo_against_qp_oracle():
 
         X = np.zeros((20, 2))
         for i, vector in enumerate(vectors):
-            for p, w in vector.entries:
+            for p, w in oracles.entries(vector):
                 X[i, p] = w
         y = np.array(labels, dtype=float)
         _, oracle_objective = oracles.qp_dual_solve(X @ X.T, y, config.C)

@@ -102,7 +102,6 @@ _RANGED = {
     "synth_overlap": st.floats(0.0, 1.0),
 }
 _BY_TYPE = {
-    bool: st.booleans(),
     int: st.integers(),
     float: st.floats(allow_nan=False, allow_infinity=False),
     str: st.text(),
@@ -129,6 +128,7 @@ def _valid(config: RunConfig) -> RunConfig:
     assume(config.format == "synth" or config.dataset or config.manifest)
     assume(not config.test_path or config.format == "ecml" or config.manifest)
     assume(not config.manifest or not (config.dataset or config.test_path))
+    assume(config.experiment != "1" or config.mode == "batch")
     return config.validate()
 
 
@@ -143,11 +143,8 @@ def _as_flags(config: RunConfig) -> list[str]:
         flag = "--" + f.name.replace("_", "-")
         if value is None:
             continue
-        if isinstance(value, bool):
-            argv.append(flag if value else "--no-" + flag[2:])
-        else:
-            text = repr(value) if isinstance(value, float) else str(value)
-            argv.append(f"{flag}={text}")
+        text = repr(value) if isinstance(value, float) else str(value)
+        argv.append(f"{flag}={text}")
     return argv
 
 
@@ -243,11 +240,9 @@ class TestExperiments:
         assert (out / "synth_tfdcr_batch.roc.tsv").exists()
 
     def test_experiment1_requires_batch_mode(self, tmp_path):
-        config = parse_config(
-            None, _synth_flags(tmp_path, experiment="1", mode="incremental")
-        )
+        flags = _synth_flags(tmp_path, experiment="1", mode="incremental")
         with pytest.raises(CliError, match="batch"):
-            run_experiment(config, tmp_path / "out")
+            parse_config(None, flags)
 
     def test_experiment1_separable_fixture_all_perfect(self, tmp_path):
         spec = []
@@ -408,7 +403,7 @@ class TestCliCommands:
             ("latin1.manifest", b"a synth unused\n\xfe\n"),
             ("latin1.session.json", b'{"format": "\xff"}\n'),
             ("choice.conf", b"selector = bayes\n"),
-            ("bool.conf", b"chronological = maybe\n"),
+            ("chronological.conf", b"chronological = true\n"),
             ("no_equals.conf", b"seed 7\n"),
             ("format.manifest", b"a mbox data.txt\n"),
             ("spam_only.dat", b"1 10:2 11:1\n1 10:1 12:1\n"),
@@ -451,8 +446,12 @@ class TestCliCommands:
             # A choice given in a file (argparse rejects the same flag itself).
             (["config", "dump", "--config", str(inputs / "choice.conf")],
              "selector must be one of"),
-            (["config", "dump", "--config", str(inputs / "bool.conf")],
-             "chronological must be true or false"),
+            # Chronology follows the format; it is not a key.
+            (["config", "dump", "--config", str(inputs / "chronological.conf")],
+             "unknown configuration keys: chronological"),
+            # The plan is checked before any data is read.
+            (["config", "dump", "--experiment", "1", "--mode", "incremental"],
+             "experiment 1 requires mode = batch"),
             (["config", "dump", "--config", str(inputs / "no_equals.conf")],
              f"{inputs / 'no_equals.conf'}:1: expected `key = value`"),
             (["run", "--manifest", str(inputs / "format.manifest")],
@@ -472,12 +471,76 @@ class TestCliCommands:
         # A run that fails before its first result leaves no output directory.
         assert list(tmp_path.iterdir()) == []
 
+    def test_single_class_test_stream_skips_the_roc(self, caplog, tmp_path):
+        # Every test mail is spam, so no ROC curve exists; the run and a
+        # re-rendering of its session still succeed, without a ROC file.
+        train, test = tmp_path / "train.dat", tmp_path / "test.dat"
+        train.write_text("1 10:2 11:1\n-1 20:2 21:1\n" * 6, encoding="utf-8")
+        test.write_text("1 10:1\n1 11:1 20:1\n" * 3, encoding="utf-8")
+        out, rendered = tmp_path / "out", tmp_path / "rendered"
+        assert cli.main([
+            "run", "--format", "ecml", "--dataset", str(train), "--test-path", str(test),
+            "--n", "4", "--n-batches", "2", "--output-dir", str(out),
+        ]) == 0
+        session = out / "train_tfdcr_batch.session.json"
+        assert json.loads(session.read_text(encoding="utf-8"))["truths"] == [1] * 6
+        assert sorted(p.name for p in out.iterdir()) == [
+            "results.csv", "results.json", session.name,
+        ]
+        assert "skipping ROC for train_tfdcr_batch.roc.tsv" in caplog.text
+        caplog.clear()
+        assert cli.main(["report", "--session", str(session), "--out", str(rendered)]) == 0
+        assert sorted(p.name for p in rendered.iterdir()) == [
+            "results.csv", "results.json",
+        ]
+        assert "skipping ROC for train_tfdcr_batch.roc.tsv" in caplog.text
+
     def test_unknown_config_key_error(self, capsys, tmp_path):
         path = tmp_path / "run.conf"
         path.write_text("sigma = 3\n", encoding="utf-8")
         code = cli.main(["run", "--config", str(path)])
         assert code == 2
         assert "sigma" in capsys.readouterr().err
+
+
+class TestByteOrderMark:
+    """A UTF-8 file saved with a leading byte-order mark reads as without it."""
+
+    def test_config_file(self, capsys, tmp_path):
+        path = tmp_path / "bom.conf"
+        path.write_bytes(b"\xef\xbb\xbfseed = 3\n")
+        assert cli.main(["config", "dump", "--config", str(path)]) == 0
+        assert "\nseed = 3\n" in capsys.readouterr().out
+
+    def test_manifest(self, tmp_path):
+        manifest = tmp_path / "bom.manifest"
+        manifest.write_bytes(b"\xef\xbb\xbfbom synth unused\n")
+        out = tmp_path / "out"
+        assert cli.main([
+            "run", "--manifest", str(manifest), "--synth-vocab", "120",
+            "--synth-docs-per-phase", "80", "--n", "40", "--n-batches", "3",
+            "--output-dir", str(out),
+        ]) == 0
+        assert (out / "bom_tfdcr_batch.session.json").exists()
+        assert (out / "bom_tfdcr_batch.roc.tsv").exists()
+        with open(out / "results.csv", newline="", encoding="utf-8") as handle:
+            assert [row["dataset"] for row in csv.DictReader(handle)] == ["bom"]
+
+    def test_session_file(self, tmp_path):
+        out = tmp_path / "out"
+        assert cli.main([
+            "run", "--format", "synth", "--synth-vocab", "120",
+            "--synth-docs-per-phase", "80", "--n", "40", "--n-batches", "3",
+            "--seed", "2", "--output-dir", str(out),
+        ]) == 0
+        name = "synth_tfdcr_batch.session.json"
+        marked = tmp_path / "marked" / name
+        marked.parent.mkdir()
+        marked.write_bytes(b"\xef\xbb\xbf" + (out / name).read_bytes())
+        rendered = tmp_path / "rendered"
+        assert cli.main(["report", "--session", str(marked), "--out", str(rendered)]) == 0
+        for result in ("results.csv", "results.json", "synth_tfdcr_batch.roc.tsv"):
+            assert (rendered / result).read_bytes() == (out / result).read_bytes()
 
 
 class TestBuildPartition:
@@ -533,8 +596,8 @@ class TestBuildPartition:
 
     @pytest.mark.parametrize("fmt", ["pu", "ecml"])
     def test_unordered_formats_get_the_seeded_shuffle(self, tmp_path, fmt):
-        # PU and ecml corpora carry no arrival order, so even a chronological
-        # configuration partitions them under the seeded shuffle.
+        # PU and ecml corpora carry no arrival order, so they are partitioned
+        # under the seeded shuffle.
         path = tmp_path / fmt
         if fmt == "pu":
             path.mkdir()
@@ -550,7 +613,6 @@ class TestBuildPartition:
             loaded = load_ecml(path)
         config = parse_config(None, {
             "format": fmt, "dataset": str(path), "n_batches": 3, "seed": 5,
-            "chronological": True,
         })
         partition = build_partition(cli.DatasetEntry(fmt, fmt, str(path)), config)
         fraction = config.train_fraction

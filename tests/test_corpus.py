@@ -420,6 +420,15 @@ class TestLoadEcml:
         assert c.documents[1].tokens == ()
         assert c.documents[1].label is Label.LEGITIMATE
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        plain, marked = tmp_path / "plain" / "t.ecml", tmp_path / "marked" / "t.ecml"
+        for path in (plain, marked):
+            path.parent.mkdir()
+        plain.write_text("1 12:3\n-1 5:1\n", encoding="utf-8")
+        marked.write_text("1 12:3\n-1 5:1\n", encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf1 ")
+        assert load_ecml(marked) == load_ecml(plain)
+
     def test_malformed_count(self, tmp_path):
         path = tmp_path / "bad.dat"
         path.write_text("1 12:x\n", encoding="utf-8")

@@ -332,7 +332,7 @@ class TestRunSession:
         assert earlier > 0 and stale > 0
 
     def test_single_class_retraining_set_halts_the_session(self):
-        # With C = 1e-12 no multiplier exceeds alpha_epsilon: the model has no
+        # With C = 1e-12 no multiplier exceeds ALPHA_EPSILON: the model has no
         # support vectors and scores its bias, 0, so every mail is classed
         # legitimate. The all-spam first batch then fires the accuracy
         # trigger, and its retraining set holds spam only.

@@ -302,12 +302,12 @@ class TestVectorize:
         doc = make_doc(0, "spam", ["a", "a", "b"])
         vec = vectorize(doc, fs)
         norm = math.sqrt(5)
-        assert vec.entries == ((0, 2 / norm), (1, 1 / norm))
+        assert oracles.entries(vec) == ((0, 2 / norm), (1, 1 / norm))
 
     def test_no_selected_terms(self):
         fs = self._fs("a", "b")
         doc = make_doc(0, "spam", ["zz", "yy"])
-        assert vectorize(doc, fs).entries == ()
+        assert oracles.entries(vectorize(doc, fs)) == ()
 
     def test_unit_norm_property(self):
         rng = random.Random(4)
@@ -315,13 +315,13 @@ class TestVectorize:
         for i in range(100):
             tokens = [f"t{rng.randint(0, 30)}" for _ in range(rng.randint(1, 40))]
             vec = vectorize(make_doc(i, "spam", tokens), fs)
-            if vec.entries:
+            if oracles.entries(vec):
                 assert abs(math.sqrt(sum(w * w for w in vec.weights)) - 1.0) <= 1e-12
 
     def test_positions_strictly_increasing(self):
         fs = self._fs("c", "a", "b")
         doc = make_doc(0, "spam", ["b", "c", "a", "b"])
-        positions = [p for p, _ in vectorize(doc, fs).entries]
+        positions = [p for p, _ in oracles.entries(vectorize(doc, fs))]
         assert positions == sorted(set(positions))
 
     def test_deterministic(self):
@@ -358,14 +358,14 @@ class TestVectorize:
             make_doc(2, "legit", ["zz"]),
         ]
         _assert_matches_reference(docs, fs)
-        assert vectorize_all(docs, fs)[2].entries == ()
+        assert oracles.entries(vectorize_all(docs, fs)[2]) == ()
 
     def test_empty_documents(self):
         fs = self._fs("a", "b")
         assert vectorize_all([], fs) == []
         vectors = vectorize_all([make_doc(0, "spam", []), make_doc(1, "spam", ["b"])], fs)
-        assert vectors[0].entries == ()
-        assert vectors[1].entries == ((1, 1.0),)
+        assert oracles.entries(vectors[0]) == ()
+        assert oracles.entries(vectors[1]) == ((1, 1.0),)
 
     def test_empty_feature_set_rejected(self):
         fs = FeatureSet(())
@@ -397,7 +397,7 @@ class TestSparseVector:
             hash(a)
         assert a != SparseVector([0, 2], [0.6, 0.8], "u")
         assert a != SparseVector([0, 1], [0.6, 0.8], "t")
-        assert a.entries == ((0, 0.6), (2, 0.8))
+        assert oracles.entries(a) == ((0, 0.6), (2, 0.8))
 
 
 class TestUpdateFeatureSet:
@@ -415,42 +415,46 @@ class TestUpdateFeatureSet:
             ("spam", ["olds1", "olds2", "new1", "new2"]),
             ("legit", ["oldl1", "oldl2"]),
         ])
-        fs_new, replaced = update_feature_set(fs, retrain, 6)
+        # all six terms weigh 2, so the term order makes both newcomers candidates
+        assert {"new1", "new2"} <= set(select_top_n(count_stats(retrain), 4).index)
+        fs_new, replaced = update_feature_set(fs, retrain)
         assert replaced == 0
         assert set(fs_new.index) == set(fs.index)
 
     def test_hand_trace(self):
         # newcomer rank weights 0.75 and 0.125; mean 0.4375 admits only the
         # first, evicting the single lowest-weight incumbent
+        incumbent_terms = ("olds1", "olds2", "olds3", "oldl1", "oldl2", "oldl3")
         old = make_corpus([
-            ("spam", ["olds1", "olds1", "olds2"]),
-            ("legit", ["oldl1", "oldl1", "oldl2"]),
+            ("spam", ["olds1", "olds1", "olds2", "olds3"]),
+            ("legit", ["oldl1", "oldl1", "oldl2", "oldl3"]),
         ])
-        fs = self._fs_from(old, 4)
-        assert set(fs.index) == {"olds1", "olds2", "oldl1", "oldl2"}
+        fs = self._fs_from(old, 6)
+        assert set(fs.index) == set(incumbent_terms)
         retrain = make_corpus([
             ("spam", ["new1", "new1", "new1", "new2", "new2", "new2", "olds1"]),
             ("spam", ["new1", "new1", "new2", "new2", "new2", "olds2"]),
             ("spam", ["new1", "new1", "olds1"]),
-            ("spam", ["olds1", "olds1"]),
+            ("spam", ["olds1", "olds1", "olds3", "olds3"]),
             ("legit", ["new2", "new2", "oldl1"]),
             ("legit", ["oldl1", "oldl2"]),
             ("legit", ["oldl2", "oldl2"]),
-            ("legit", ["oldl1"]),
+            ("legit", ["oldl1", "oldl3", "oldl3"]),
         ])
         stats = count_stats(retrain)
         assert selection_rank_weight(stats.counts["new1"], 4, 4) == 0.75
         assert selection_rank_weight(stats.counts["new2"], 4, 4) == 0.125
-        # candidate pool wide enough to surface both newcomers
-        fs_new, replaced = update_feature_set(fs, retrain, 6)
+        # both newcomers are among the top len(fs) = 6 of the 8 terms
+        candidates = select_top_n(stats, len(fs))
+        assert {"new1", "new2"} <= set(candidates.index)
+        fs_new, replaced = update_feature_set(fs, retrain)
         assert replaced == 1
         assert "new1" in fs_new.index
         assert "new2" not in fs_new.index
         assert len(fs_new) == len(fs)
         # the evicted incumbent is the one with the lowest refreshed weight
         incumbents = {
-            term: tfdcr_weight(stats.counts[term], 4, 4)
-            for term in ("olds1", "olds2", "oldl1", "oldl2")
+            term: tfdcr_weight(stats.counts[term], 4, 4) for term in incumbent_terms
         }
         evicted = set(fs.index) - set(fs_new.index)
         assert evicted == {min(incumbents, key=lambda t: (incumbents[t], t))}
@@ -465,7 +469,7 @@ class TestUpdateFeatureSet:
                 fs = self._fs_from(old, n)
             except FeatureError:
                 continue
-            fs_new, replaced = update_feature_set(fs, retrain, len(fs))
+            fs_new, replaced = update_feature_set(fs, retrain)
             assert len(fs_new) == len(fs)
             terms = [sf.term for sf in fs_new.features]
             assert len(terms) == len(set(terms))
@@ -479,7 +483,7 @@ class TestUpdateFeatureSet:
         retrain = make_corpus([
             ("spam", ["aa", "aa", "bb"]), ("legit", ["cc", "dd", "dd"]),
         ])
-        fs_new, replaced = update_feature_set(fs, retrain, 4)
+        fs_new, replaced = update_feature_set(fs, retrain)
         assert replaced == 0
         assert set(fs_new.index) == set(fs.index)
         stats = count_stats(retrain)

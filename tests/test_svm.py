@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from driftfilter import svm
 from driftfilter.features import SparseVector
 from driftfilter.svm import (
-    SvmError, TrainConfig, _KernelTable, decision_scores, train_smo, weight_vector,
+    ALPHA_EPSILON, SvmError, TrainConfig, _KernelTable, decision_scores, train_smo,
+    weight_vector,
 )
 
 import oracles
@@ -36,7 +37,7 @@ def gaussian_dataset(seed, n=20):
 def dense(vectors, dim=2):
     X = np.zeros((len(vectors), dim))
     for i, v in enumerate(vectors):
-        for p, w in v.entries:
+        for p, w in oracles.entries(v):
             X[i, p] = w
     return X
 
@@ -142,7 +143,7 @@ class TestModelInvariants:
         config = TrainConfig(C=0.7)
         model = train_smo(vectors, labels, config)
         for alpha in model.alphas:
-            assert config.alpha_epsilon < alpha <= config.C + 1e-12
+            assert ALPHA_EPSILON < alpha <= config.C + 1e-12
         balance = sum(a * y for a, y in zip(model.alphas, model.sv_labels))
         assert abs(balance) <= 1e-6
 
@@ -269,7 +270,7 @@ def assert_matches_reference(vectors, labels, config):
     alpha, bias, objective, passes, converged = oracles.wss2_reference(
         table.row, table.diag, np.array(labels, dtype=float), config
     )
-    keep = alpha > config.alpha_epsilon
+    keep = alpha > ALPHA_EPSILON
     assert model.alphas == tuple(alpha[keep].tolist())
     assert model.sv_doc_ids == tuple(str(i) for i in np.flatnonzero(keep))
     assert (model.bias, model.objective, model.passes, model.converged) == (
@@ -343,7 +344,7 @@ class TestWeightVector:
             x = vec(rng.uniform(-2, 2), rng.uniform(-2, 2))
             direct = decision_scores(model, [x])[0]
             via_w = model.bias + sum(
-                w[p] * weight for p, weight in x.entries if p < model.dim
+                w[p] * weight for p, weight in oracles.entries(x) if p < model.dim
             )
             assert abs(direct - via_w) <= 1e-10
 
@@ -365,7 +366,7 @@ class TestSupportVectors:
         model = train_smo(vectors, labels, TrainConfig(C=1.0))
         assert len(model.alphas) == len(model.sv_doc_ids) == len(model.sv_labels)
         for alpha in model.alphas:
-            assert alpha > model.config.alpha_epsilon
+            assert alpha > ALPHA_EPSILON
 
 
 class TestErrors:
@@ -395,6 +396,9 @@ class TestErrors:
             for gamma in (math.nan, math.inf, 0.0, -1.0):
                 with pytest.raises(SvmError, match="gamma"):
                     TrainConfig(kernel=kernel, gamma=gamma)
+        for tolerance in (0.0, -1e-3, math.nan, math.inf):
+            with pytest.raises(SvmError, match="kkt_tolerance must be finite and positive"):
+                TrainConfig(kkt_tolerance=tolerance)
         with pytest.raises(SvmError):
             TrainConfig(kernel="poly")
         with pytest.raises(SvmError):
@@ -457,7 +461,7 @@ class TestDecisionScores:
 
     @pytest.mark.parametrize("kernel,gamma", [("linear", None), ("rbf", 0.5)])
     def test_model_without_support_vectors_scores_its_bias(self, kernel, gamma):
-        # With a tiny C every multiplier stays below alpha_epsilon.
+        # With a tiny C every multiplier stays below ALPHA_EPSILON.
         vectors, labels = gaussian_dataset(9)
         model = train_smo(vectors, labels, TrainConfig(C=1e-12, kernel=kernel, gamma=gamma))
         assert model.alphas == ()
