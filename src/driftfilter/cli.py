@@ -14,6 +14,7 @@ configuration and seed.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import logging
 import math
@@ -54,7 +55,6 @@ class RunConfig:
     test_path: str | None = None
     synth_vocab: int = 400
     synth_docs_per_phase: int = 1000
-    synth_drift_point: int | None = None
     synth_overlap: float = 0.2
 
     def validate(self) -> "RunConfig":
@@ -215,6 +215,8 @@ def read_manifest(path) -> list[DatasetEntry]:
         if len(parts) not in (3, 4):
             raise CliError(f"{path}:{line_no}: expected `name format path [test_path]`")
         name, fmt, data_path = parts[:3]
+        if Path(name).name != name:
+            raise CliError(f"{path}:{line_no}: dataset name {name!r} is not a file name")
         if fmt not in FORMATS:
             raise CliError(f"{path}:{line_no}: unknown format {fmt!r}")
         if any(entry.name == name for entry in entries):
@@ -249,7 +251,6 @@ def _load_corpus(entry: DatasetEntry, config: RunConfig) -> corpus.LabeledCorpus
             config.seed,
             vocab_size=config.synth_vocab,
             docs_per_phase=config.synth_docs_per_phase,
-            drift_point=config.synth_drift_point,
             overlap=config.synth_overlap,
         )
     if entry.format == "enron":
@@ -300,36 +301,10 @@ TABLE_COLUMNS = (
 )
 
 
-@dataclass(frozen=True)
-class ExperimentTable:
-    rows: tuple[dict, ...]
-
-    def csv_text(self) -> str:
-        lines = [",".join(TABLE_COLUMNS)]
-        for row in self.rows:
-            cells = []
-            for column in TABLE_COLUMNS:
-                value = row[column]
-                if value is None:
-                    cells.append("")
-                elif isinstance(value, float):
-                    cells.append(repr(value))
-                else:
-                    cells.append(str(value))
-            lines.append(",".join(cells))
-        return "\n".join(lines) + "\n"
-
-    def json_text(self) -> str:
-        return json.dumps(
-            [{column: row[column] for column in TABLE_COLUMNS} for row in self.rows],
-            sort_keys=True, indent=2,
-        ) + "\n"
-
-
-def _table_row(name: str, selector: str, report: driftloop.SessionReport) -> dict:
+def _table_row(name: str, report: driftloop.SessionReport) -> dict:
     return {
         "dataset": name,
-        "selector": selector,
+        "selector": report.selector,
         "mode": report.mode,
         "accuracy": report.final.accuracy,
         "mcc": report.final.mcc,
@@ -352,8 +327,13 @@ def _write_roc(report: driftloop.SessionReport, path: Path) -> None:
         logger.warning("skipping ROC for %s: single-class truths", path.name)
 
 
-def _emit_session_files(name, selector, report, out_dir: Path) -> None:
-    stem = f"{name}_{selector}_{report.mode}"
+def _session_stem(name: str, report: driftloop.SessionReport) -> str:
+    """`<dataset>_<selector>_<mode>`, the stem of a session's output files."""
+    return f"{name}_{report.selector}_{report.mode}"
+
+
+def _emit_session_files(name, report, out_dir: Path) -> None:
+    stem = _session_stem(name, report)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / f"{stem}.session.json").write_text(
         report.to_json() + "\n", encoding="utf-8"
@@ -361,7 +341,7 @@ def _emit_session_files(name, selector, report, out_dir: Path) -> None:
     _write_roc(report, out_dir / f"{stem}.roc.tsv")
 
 
-def run_experiment(config: RunConfig, out_dir: Path) -> ExperimentTable:
+def run_experiment(config: RunConfig, out_dir: Path) -> tuple[dict, ...]:
     """Run the experiment's selector x mode sessions on each dataset entry.
 
     Experiment 1 compares every selector in batch mode, experiment 2 runs
@@ -386,16 +366,22 @@ def run_experiment(config: RunConfig, out_dir: Path) -> ExperimentTable:
                 report = driftloop.run_session(
                     partition, drift_config, driftloop.SessionMode(mode), state
                 )
-                _emit_session_files(entry.name, selector, report, out_dir)
-                rows.append(_table_row(entry.name, selector, report))
-    return ExperimentTable(tuple(rows))
+                _emit_session_files(entry.name, report, out_dir)
+                rows.append(_table_row(entry.name, report))
+    return tuple(rows)
 
 
-def emit_report(table: ExperimentTable, out_dir: Path) -> None:
-    """Write results.csv and results.json with identical values."""
+def emit_report(rows, out_dir: Path) -> None:
+    """Write results.csv and results.json with identical values; a CSV cell
+    is empty for None, and quoted when it holds a comma, quote or line break."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "results.csv").write_text(table.csv_text(), encoding="utf-8")
-    (out_dir / "results.json").write_text(table.json_text(), encoding="utf-8")
+    with open(out_dir / "results.csv", "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(TABLE_COLUMNS)
+        writer.writerows([row[column] for column in TABLE_COLUMNS] for row in rows)
+    (out_dir / "results.json").write_text(
+        json.dumps(list(rows), sort_keys=True, indent=2) + "\n", encoding="utf-8"
+    )
 
 
 def _overrides_from_args(args) -> dict:
@@ -420,9 +406,9 @@ def _add_key_flags(parser: argparse.ArgumentParser, keys) -> None:
 def _cmd_run(args) -> int:
     config = parse_config(args.config, _overrides_from_args(args))
     out_dir = Path(config.output_dir)
-    table = run_experiment(config, out_dir)
-    emit_report(table, out_dir)
-    print(f"wrote {len(table.rows)} result rows to {out_dir}")
+    rows = run_experiment(config, out_dir)
+    emit_report(rows, out_dir)
+    print(f"wrote {len(rows)} result rows to {out_dir}")
     return 0
 
 
@@ -443,13 +429,10 @@ def _cmd_synth(args) -> int:
 def _cmd_report(args) -> int:
     report = driftloop.SessionReport.from_json(_read_utf8(args.session))
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    stem = args.name or Path(args.session).name.removesuffix(".json").removesuffix(".session")
-    suffix = f"_{report.selector}_{report.mode}"
-    dataset = stem.removesuffix(suffix)
-    table = ExperimentTable((_table_row(dataset, report.selector, report),))
-    emit_report(table, out_dir)
-    _write_roc(report, out_dir / f"{dataset}{suffix}.roc.tsv")
+    stem = Path(args.session).name.removesuffix(".json").removesuffix(".session")
+    dataset = stem.removesuffix(_session_stem("", report))
+    emit_report((_table_row(dataset, report),), out_dir)
+    _write_roc(report, out_dir / f"{_session_stem(dataset, report)}.roc.tsv")
     print(f"re-rendered {args.session} into {out_dir}")
     return 0
 
@@ -479,7 +462,6 @@ def build_parser() -> argparse.ArgumentParser:
     report_parser = sub.add_parser("report", help="re-render a saved session")
     report_parser.add_argument("--session", required=True)
     report_parser.add_argument("--out", required=True)
-    report_parser.add_argument("--name")
     report_parser.set_defaults(func=_cmd_report)
     return parser
 

@@ -407,14 +407,14 @@ def synth_drift(
     seed: int,
     vocab_size: int = 400,
     docs_per_phase: int = 1000,
-    drift_point: int | None = None,
     overlap: float = 0.2,
 ) -> LabeledCorpus:
     """Generate a two-phase stream whose spam vocabulary shifts mid-stream.
 
-    Phase 1 draws spam from one token pool and legitimate mail from a
-    disjoint pool; from `drift_point` on, the spam pool is replaced by a
-    fresh pool sharing an `overlap` fraction of its tokens with the old one.
+    Each phase holds `docs_per_phase` documents. Phase 1 draws spam from
+    one token pool and legitimate mail from a disjoint pool; in phase 2
+    the spam pool is replaced by a fresh pool sharing an `overlap`
+    fraction of its tokens with the old one.
     Spam documents always mix in legitimate-pool tokens, so post-drift spam
     resembles legitimate mail to a model trained on phase 1. Labels
     alternate, keeping both phases balanced. Same seed, same corpus.
@@ -423,11 +423,6 @@ def synth_drift(
         raise CorpusError(f"docs_per_phase must be >= 1, got {docs_per_phase}")
     if not 0.0 <= overlap <= 1.0:
         raise CorpusError(f"overlap must be in [0,1], got {overlap}")
-    total = docs_per_phase * 2
-    if drift_point is None:
-        drift_point = docs_per_phase
-    if not 0 < drift_point < total:
-        raise CorpusError(f"drift_point must be in (0,{total}), got {drift_point}")
     n_legit = vocab_size // 2
     n_spam = vocab_size // 4
     n_reserve = vocab_size - n_legit - n_spam
@@ -444,8 +439,8 @@ def synth_drift(
         drifted_pool = sorted(rng.sample(spam_pool, kept)) + reserve[: n_spam - kept]
     half = _SYNTH_DOC_LEN // 2
     docs = []
-    for arrival in range(total):
-        pool = spam_pool if arrival < drift_point else drifted_pool
+    for arrival in range(2 * docs_per_phase):
+        pool = spam_pool if arrival < docs_per_phase else drifted_pool
         if arrival % 2 == 0:
             label = Label.SPAM
             tokens = _draw(rng, pool, half)

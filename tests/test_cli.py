@@ -211,6 +211,38 @@ class TestManifest:
         with pytest.raises(CliError, match="no datasets"):
             read_manifest(manifest)
 
+    def test_name_must_be_one_file_name(self, capsys, tmp_path):
+        # The name stems the output files, so a path would write them
+        # outside output_dir.
+        manifest = tmp_path / "escape.manifest"
+        manifest.write_text("ok synth x\n../../escaped synth x\n", encoding="utf-8")
+        out = tmp_path / "a" / "b" / "out"
+        code = cli.main([
+            "run", "--manifest", str(manifest), "--synth-vocab", "120",
+            "--synth-docs-per-phase", "80", "--n", "40", "--n-batches", "3",
+            "--output-dir", str(out),
+        ])
+        assert code == 2
+        assert (
+            f"{manifest}:2: dataset name '../../escaped' is not a file name"
+            in capsys.readouterr().err
+        )
+        assert list(tmp_path.rglob("*")) == [manifest]
+
+    def test_comma_in_name_stays_in_its_cell(self, tmp_path):
+        manifest = tmp_path / "comma.manifest"
+        manifest.write_text("a,b synth x\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert cli.main([
+            "run", "--manifest", str(manifest), "--synth-vocab", "120",
+            "--synth-docs-per-phase", "80", "--n", "40", "--n-batches", "3",
+            "--output-dir", str(out),
+        ]) == 0
+        with open(out / "results.csv", newline="", encoding="utf-8") as handle:
+            (row,) = csv.DictReader(handle)
+        assert (row["dataset"], row["selector"], row["mode"]) == ("a,b", "tfdcr", "batch")
+        assert (out / "a,b_tfdcr_batch.session.json").exists()
+
 
 def _synth_flags(tmp_path, **extra):
     flags = {
@@ -232,10 +264,10 @@ class TestExperiments:
         config = parse_config(None, _synth_flags(tmp_path, experiment="1"))
         out = tmp_path / "out"
         out.mkdir()
-        table = run_experiment(config, out)
-        selectors = [row["selector"] for row in table.rows]
+        rows = run_experiment(config, out)
+        selectors = [row["selector"] for row in rows]
         assert selectors == list(features.SELECTORS)
-        for row in table.rows:
+        for row in rows:
             assert row["accuracy"] is not None
         assert (out / "synth_tfdcr_batch.roc.tsv").exists()
 
@@ -259,16 +291,16 @@ class TestExperiments:
         })
         out = tmp_path / "out"
         out.mkdir()
-        table = run_experiment(config, out)
-        for row in table.rows:
+        rows = run_experiment(config, out)
+        for row in rows:
             assert row["accuracy"] == 1.0
 
     def test_experiment2_direction_and_checksum(self, tmp_path):
         config = parse_config(None, _synth_flags(tmp_path, experiment="2"))
         out = tmp_path / "out"
         out.mkdir()
-        table = run_experiment(config, out)
-        rows = {row["mode"]: row for row in table.rows}
+        rows = run_experiment(config, out)
+        rows = {row["mode"]: row for row in rows}
         assert set(rows) == {"batch", "incremental"}
         assert rows["batch"]["partition_checksum"] == (
             rows["incremental"]["partition_checksum"]
@@ -404,6 +436,7 @@ class TestCliCommands:
             ("latin1.session.json", b'{"format": "\xff"}\n'),
             ("choice.conf", b"selector = bayes\n"),
             ("chronological.conf", b"chronological = true\n"),
+            ("drift_point.conf", b"synth_drift_point = 500\n"),
             ("no_equals.conf", b"seed 7\n"),
             ("format.manifest", b"a mbox data.txt\n"),
             ("spam_only.dat", b"1 10:2 11:1\n1 10:1 12:1\n"),
@@ -422,6 +455,13 @@ class TestCliCommands:
              "dataset"),
             (["run", "--format", "synth", "--synth-docs-per-phase", "0"],
              "docs_per_phase"),
+            (["run", "--format", "synth", "--synth-vocab", "3"],
+             "too small to carve pools"),
+            # Datasets that are not there.
+            (["run", "--format", "pu", "--dataset", str(inputs / "missing")],
+             f"dataset directory not found: {inputs / 'missing'}"),
+            (["run", "--format", "ecml", "--dataset", str(inputs / "missing.dat")],
+             f"dataset file not found: {inputs / 'missing.dat'}"),
             # Rejected before the dataset is read.
             (["run", "--format", "enron", "--dataset", "/nonexistent",
               "--test-path", "test.dat"], "test_path binding"),
@@ -449,6 +489,9 @@ class TestCliCommands:
             # Chronology follows the format; it is not a key.
             (["config", "dump", "--config", str(inputs / "chronological.conf")],
              "unknown configuration keys: chronological"),
+            # The drift point is always synth_docs_per_phase.
+            (["config", "dump", "--config", str(inputs / "drift_point.conf")],
+             "unknown configuration keys: synth_drift_point"),
             # The plan is checked before any data is read.
             (["config", "dump", "--experiment", "1", "--mode", "incremental"],
              "experiment 1 requires mode = batch"),

@@ -353,7 +353,7 @@ class TestRunSession:
         assert report.batches[0].fn == 4
         assert report.events == ()
         assert len(report.scores) == 4
-        row = cli._table_row("synth", "tfdcr", report)
+        row = cli._table_row("synth", report)
         assert row["halted"] == report.halted
         assert row["retrains"] == 0
 

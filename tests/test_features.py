@@ -399,6 +399,9 @@ class TestSparseVector:
         assert a != SparseVector([0, 1], [0.6, 0.8], "t")
         assert oracles.entries(a) == ((0, 0.6), (2, 0.8))
 
+    def test_not_equal_to_other_types(self):
+        assert (SparseVector([0], [1.0]) == 1) is False
+
 
 class TestUpdateFeatureSet:
     def _fs_from(self, corpus_, n):

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from driftfilter.cli import TABLE_COLUMNS, ExperimentTable
+from driftfilter.cli import TABLE_COLUMNS, emit_report
 from driftfilter.metrics import (
     ConfusionMatrix, MetricsError, MetricsReport, confusion, f_measures,
     mcc, rates, roc_points, write_roc_tsv,
@@ -128,7 +128,7 @@ class TestMetricsReport:
         assert report.micro_f1 == 0.75
         assert abs(report.mcc - 14 / 24) <= 1e-12
 
-    def test_absent_rate_serializes_empty(self):
+    def test_absent_rate_serializes_empty(self, tmp_path):
         # No legitimate mail: the FPR is undefined, and results.csv renders
         # it as an empty cell.
         report = MetricsReport.from_confusion(ConfusionMatrix(tp=3, fn=1))
@@ -136,7 +136,8 @@ class TestMetricsReport:
         row = dict.fromkeys(TABLE_COLUMNS) | {
             "accuracy": report.accuracy, "avg_fpr": report.fpr,
         }
-        header, line = ExperimentTable((row,)).csv_text().splitlines()
+        emit_report((row,), tmp_path)
+        header, line = (tmp_path / "results.csv").read_text(encoding="utf-8").splitlines()
         cells = dict(zip(header.split(","), line.split(",")))
         assert cells["avg_fpr"] == ""
         assert cells["accuracy"] == "0.75"
@@ -165,6 +166,10 @@ class TestRoc:
     def test_single_class_error(self):
         with pytest.raises(MetricsError):
             roc_points([1.0, 2.0], [1, 1])
+
+    def test_length_mismatch_error(self):
+        with pytest.raises(MetricsError, match="2 scores, 3 truths"):
+            roc_points([1.0, 2.0], [1, -1, 1])
 
     def test_auc_matches_pair_count_oracle(self):
         rng = random.Random(6)
