@@ -66,14 +66,15 @@ class RunConfig:
             raise CliError(f"rho must be in (0,1), got {self.rho}")
         if not 0.0 < self.c < math.inf:
             raise CliError(f"c must be finite and > 0, got {self.c}")
-        if self.n < 1:
-            raise CliError(f"n must be >= 1, got {self.n}")
+        # 4 words is the least synth_drift splits into its three pools.
+        for key, least in (("n", 1), ("n_batches", 1), ("synth_vocab", 4),
+                           ("synth_docs_per_phase", 1)):
+            if getattr(self, key) < least:
+                raise CliError(f"{key} must be >= {least}, got {getattr(self, key)}")
         if not 0.0 < self.train_fraction < 1.0:
             raise CliError(
                 f"train_fraction must be in (0,1), got {self.train_fraction}"
             )
-        if self.n_batches < 1:
-            raise CliError(f"n_batches must be >= 1, got {self.n_batches}")
         if self.experiment == "1" and self.mode != "batch":
             raise CliError("experiment 1 requires mode = batch")
         if self.kernel == "rbf" and self.gamma is None:
@@ -135,34 +136,29 @@ def _content_lines(path):
 
 
 def read_config_file(path) -> dict:
-    """Parse a `key = value` file; unknown keys are an error listing them."""
+    """The `key = value` lines of a config file, with their values as text."""
     values = {}
-    unknown = []
     for line_no, stripped in _content_lines(path):
         key, sep, raw = stripped.partition("=")
         if not sep:
             raise CliError(f"{path}:{line_no}: expected `key = value`")
-        key = key.strip()
-        raw = raw.strip()
-        if key not in _TYPES:
-            unknown.append(key)
-            continue
-        values[key] = _coerce(key, raw)
-    if unknown:
-        raise CliError(f"unknown configuration keys: {', '.join(sorted(unknown))}")
+        values[key.strip()] = raw.strip()
     return values
 
 
 def parse_config(file_path=None, overrides=None) -> RunConfig:
-    """Merge file values and flag overrides into a validated RunConfig."""
+    """Merge file values and flag overrides into a validated RunConfig.
+
+    A value is text, as a file or a flag gives it, or already of its key's
+    type; either way `_coerce` makes it that type. Unknown keys from both
+    sources are one error.
+    """
     values = read_config_file(file_path) if file_path else {}
-    for key, value in (overrides or {}).items():
-        if value is None:
-            continue
-        if key not in _TYPES:
-            raise CliError(f"unknown configuration key: {key}")
-        values[key] = value
-    return RunConfig(**values).validate()
+    values.update((k, v) for k, v in (overrides or {}).items() if v is not None)
+    unknown = sorted(set(values) - set(_TYPES))
+    if unknown:
+        raise CliError(f"unknown configuration keys: {', '.join(unknown)}")
+    return RunConfig(**{k: _coerce(k, v) for k, v in values.items()}).validate()
 
 
 def dump_config(config: RunConfig) -> str:
@@ -394,13 +390,12 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_key_flags(parser: argparse.ArgumentParser, keys) -> None:
-    """One `--key-name` flag per configuration key."""
+    """One `--key-name` flag per configuration key. Its value stays text, so
+    `parse_config` checks it as it checks a config file's."""
     for key in keys:
-        flag = "--" + key.replace("_", "-")
-        if key in _CHOICES:
-            parser.add_argument(flag, choices=_CHOICES[key])
-        else:
-            parser.add_argument(flag, type=_TYPES[key])
+        choices = _CHOICES.get(key)
+        metavar = "{" + ",".join(choices) + "}" if choices else None
+        parser.add_argument("--" + key.replace("_", "-"), metavar=metavar)
 
 
 def _cmd_run(args) -> int:

@@ -280,6 +280,13 @@ class SessionReport:
             found = payload.pop("format", None)
             if found != SESSION_FORMAT:
                 raise DriftLoopError(f"unrecognized session format: {found!r}")
+            # Both name the session's output files, so neither may be arbitrary.
+            for key, known in (("mode", tuple(m.value for m in SessionMode)),
+                               ("selector", features.SELECTORS)):
+                if payload[key] not in known:
+                    raise DriftLoopError(
+                        f"session {key} must be one of {known}, got {payload[key]!r}"
+                    )
             return cls(**{
                 **payload,
                 "batches": tuple(BatchRecord(**b) for b in payload["batches"]),

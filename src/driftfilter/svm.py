@@ -49,6 +49,8 @@ class TrainConfig:
             raise SvmError(
                 f"kkt_tolerance must be finite and positive, got {self.kkt_tolerance}"
             )
+        if type(self.max_passes) is not int or self.max_passes < 1:
+            raise SvmError(f"max_passes must be an int >= 1, got {self.max_passes!r}")
         if self.kernel not in KERNELS:
             raise SvmError(f"unsupported kernel: {self.kernel!r}")
         if self.kernel == "rbf" and self.gamma is None:

@@ -70,6 +70,12 @@ class TestParseConfig:
         with pytest.raises(CliError, match="n must be"):
             parse_config(None, {"n": 0})
 
+    def test_unknown_keys_of_file_and_overrides_are_one_error(self, tmp_path):
+        path = tmp_path / "run.conf"
+        path.write_text("zeta = 1\nrho = high\n", encoding="utf-8")
+        with pytest.raises(CliError, match="unknown configuration keys: alpha, zeta$"):
+            parse_config(path, {"alpha": "2", "seed": "3"})
+
     def test_malformed_value(self, tmp_path):
         path = tmp_path / "run.conf"
         path.write_text("rho = high\n", encoding="utf-8")
@@ -100,6 +106,8 @@ _RANGED = {
     "train_fraction": st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
     "n_batches": st.integers(min_value=1),
     "synth_overlap": st.floats(0.0, 1.0),
+    "synth_vocab": st.integers(min_value=4),
+    "synth_docs_per_phase": st.integers(min_value=1),
 }
 _BY_TYPE = {
     int: st.integers(),
@@ -402,6 +410,43 @@ class TestCliCommands:
         assert (rendered / "results.csv").exists()
         assert (rendered / "results.json").exists()
 
+    @pytest.mark.parametrize("key, value", (
+        ("mode", "nonsense"), ("selector", "bogus"), ("selector", "/../../escaped"),
+    ))
+    def test_report_rejects_an_unknown_selector_or_mode(
+        self, capsys, tmp_path, key, value
+    ):
+        out = tmp_path / "out"
+        assert cli.main([
+            "run", "--format", "synth", "--synth-vocab", "120",
+            "--synth-docs-per-phase", "80", "--n", "40", "--n-batches", "3",
+            "--output-dir", str(out),
+        ]) == 0
+        session = tmp_path / "odd.session.json"
+        payload = json.loads(
+            (out / "synth_tfdcr_batch.session.json").read_text(encoding="utf-8")
+        )
+        session.write_text(json.dumps({**payload, key: value}), encoding="utf-8")
+        capsys.readouterr()
+        rendered = tmp_path / "a" / "b" / "rendered"
+        (rendered / "odd_").mkdir(parents=True)
+        assert cli.main(["report", "--session", str(session), "--out", str(rendered)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: session {key} must be one of")
+        assert err.count("\n") == 1
+        # Nothing is written, inside `--out` or above it.
+        written = sorted(
+            p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*") if p.is_file()
+        )
+        assert written == sorted([session.name] + [f"out/{p.name}" for p in out.iterdir()])
+
+    def test_help_lists_the_choices(self, capsys):
+        with pytest.raises(SystemExit):
+            cli.main(["run", "--help"])
+        out = capsys.readouterr().out
+        assert "--mode {batch,incremental}" in out
+        assert "--kernel {linear,rbf}" in out
+
     def test_pu_format_run(self, tmp_path):
         data = tmp_path / "pu"
         for fold in ("part1", "part2"):
@@ -456,7 +501,7 @@ class TestCliCommands:
             (["run", "--format", "synth", "--synth-docs-per-phase", "0"],
              "docs_per_phase"),
             (["run", "--format", "synth", "--synth-vocab", "3"],
-             "too small to carve pools"),
+             "synth_vocab must be >= 4, got 3"),
             # Datasets that are not there.
             (["run", "--format", "pu", "--dataset", str(inputs / "missing")],
              f"dataset directory not found: {inputs / 'missing'}"),
@@ -483,9 +528,16 @@ class TestCliCommands:
             (["config", "dump", "--train-fraction", "1.5"], "train_fraction must be"),
             (["config", "dump", "--n-batches", "0"], "n_batches must be"),
             (["config", "dump", "--synth-overlap", "1.5"], "synth_overlap must be"),
-            # A choice given in a file (argparse rejects the same flag itself).
+            (["config", "dump", "--synth-vocab", "3"], "synth_vocab must be >= 4"),
+            (["config", "dump", "--synth-docs-per-phase", "0"],
+             "synth_docs_per_phase must be >= 1"),
+            # A flag's value is text, checked as the same value in a file is.
             (["config", "dump", "--config", str(inputs / "choice.conf")],
              "selector must be one of"),
+            (["run", "--n", "abc"], "n has a malformed value: 'abc'"),
+            (["config", "dump", "--rho", "x"], "rho has a malformed value: 'x'"),
+            (["config", "dump", "--mode", "bogus"], "mode must be one of"),
+            (["config", "dump", "--kernel", "poly"], "kernel must be one of"),
             # Chronology follows the format; it is not a key.
             (["config", "dump", "--config", str(inputs / "chronological.conf")],
              "unknown configuration keys: chronological"),

@@ -614,6 +614,15 @@ class TestSynthDrift:
         with pytest.raises(CorpusError, match="overlap"):
             synth_drift(1, overlap=1.5)
 
+    def test_no_documents_per_phase(self):
+        with pytest.raises(CorpusError, match="docs_per_phase must be >= 1, got 0"):
+            synth_drift(1, docs_per_phase=0)
+
+    def test_smallest_vocabulary_that_carves_pools(self):
+        with pytest.raises(CorpusError, match="vocab_size=3 too small"):
+            synth_drift(1, vocab_size=3, docs_per_phase=2)
+        assert len(synth_drift(1, vocab_size=4, docs_per_phase=2).documents) == 4
+
     def test_labels_balanced(self):
         stream = synth_drift(2, vocab_size=120, docs_per_phase=50)
         assert stream.n_spam == stream.n_legit == 50

@@ -399,6 +399,9 @@ class TestErrors:
         for tolerance in (0.0, -1e-3, math.nan, math.inf):
             with pytest.raises(SvmError, match="kkt_tolerance must be finite and positive"):
                 TrainConfig(kkt_tolerance=tolerance)
+        for max_passes in (0, -3, 2.5, True, "10"):
+            with pytest.raises(SvmError, match="max_passes must be"):
+                TrainConfig(max_passes=max_passes)
         with pytest.raises(SvmError):
             TrainConfig(kernel="poly")
         with pytest.raises(SvmError):
