@@ -136,13 +136,18 @@ def _content_lines(path):
 
 
 def read_config_file(path) -> dict:
-    """The `key = value` lines of a config file, with their values as text."""
-    values = {}
+    """The `key = value` lines of a config file, with their values as text.
+    A key set twice is an error: which value was meant is unknown."""
+    values, lines = {}, {}
     for line_no, stripped in _content_lines(path):
         key, sep, raw = stripped.partition("=")
         if not sep:
             raise CliError(f"{path}:{line_no}: expected `key = value`")
-        values[key.strip()] = raw.strip()
+        key = key.strip()
+        if key in lines:
+            raise CliError(f"{path}:{line_no}: key {key!r} is already set on "
+                           f"line {lines[key]}")
+        values[key], lines[key] = raw.strip(), line_no
     return values
 
 

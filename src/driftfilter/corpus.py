@@ -6,7 +6,7 @@ import hashlib
 import logging
 import math
 import random
-import re
+import string
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache, cached_property
@@ -19,7 +19,12 @@ from . import porter
 
 logger = logging.getLogger(__name__)
 
-_TOKEN = re.compile(r"[a-z0-9]{2,}")
+# Every byte but [a-z0-9] becomes a space, so that after lowercasing and an
+# ASCII encoding (a non-ASCII character becomes `?`) the words are the
+# maximal [a-z0-9] runs of the text.
+_SEPARATORS = bytes(
+    b if chr(b) in string.ascii_lowercase + string.digits else 32 for b in range(256)
+)
 
 # Per-document token count used by the synthetic generator; spam documents
 # draw half their tokens from the legitimate pool so that a vocabulary shift
@@ -53,14 +58,21 @@ class TermTable:
     def __len__(self) -> int:
         return len(self.terms)
 
+    def add(self, term: str) -> None:
+        """Intern one term; a term already in the table keeps its id."""
+        if term not in self.ids:
+            self.ids[term] = len(self.terms)
+            self.terms.append(term)
+
     def intern(self, tokens) -> np.ndarray:
         """Read-only int32 ids of `tokens`, in order; unseen terms are added."""
-        ids = self.ids
-        new = [t for t in dict.fromkeys(tokens) if t not in ids]
-        if new:
-            ids.update(zip(new, range(len(self.terms), len(self.terms) + len(new))))
-            self.terms.extend(new)
-        out = np.fromiter(map(ids.__getitem__, tokens), dtype=np.int32, count=len(tokens))
+        try:
+            out = np.fromiter(map(self.ids.__getitem__, tokens), dtype=np.int32,
+                              count=len(tokens))
+        except KeyError:  # some term is new: add them all, then map again
+            for term in dict.fromkeys(tokens):
+                self.add(term)
+            return self.intern(tokens)
         out.flags.writeable = False
         return out
 
@@ -146,13 +158,19 @@ def stopwords() -> frozenset[str]:
     return frozenset(w for w in text.split("\n") if w)
 
 
+def _words(raw_text: str) -> list[str]:
+    """The maximal runs of ASCII letters and digits of the lowercased text."""
+    return (raw_text.lower().encode("ascii", "replace").translate(_SEPARATORS)
+            .decode("ascii").split())
+
+
 def tokenize(raw_text: str) -> list[str]:
     """Lowercase and split on runs of non-alphanumerics (ASCII).
 
     Pure-digit tokens and tokens shorter than two characters are dropped.
     Empty input yields an empty list.
     """
-    return [t for t in _TOKEN.findall(raw_text.lower()) if not t.isdigit()]
+    return [t for t in _words(raw_text) if len(t) >= 2 and not t.isdigit()]
 
 
 def remove_stopwords(tokens) -> list[str]:
@@ -161,36 +179,69 @@ def remove_stopwords(tokens) -> list[str]:
     return [t for t in tokens if t not in stoplist]
 
 
-# Bound on the fixed-point memo: above one large corpus's distinct words plus
-# their intermediate stems, so a run never evicts, yet finite in a process
-# that loads corpus after corpus.
+# Bound on the fixed-point memo: above one large corpus's distinct stems, so
+# a run never evicts, yet finite in a process that loads corpus after corpus.
 _FIXPOINT_CACHE_SIZE = 1 << 16
 _fixpoints: dict[str, str] = {}
 
 
-def _stem_fixpoint(token: str) -> str:
+def _stem_fixpoint(word: str) -> str:
     # A single Porter pass is not idempotent (agreed -> agre -> agr), so the
     # pipeline iterates to a fixed point; rewrites never grow the token, and
     # the only length-preserving rule (y -> i) cannot cycle. Porter is
-    # deterministic, so every word on the chain is memoized: the confirming
-    # pass on a stem is shared by all the words that reach it. A loop, not
-    # recursion, because a chain can be as long as the token.
-    out = _fixpoints.get(token)
+    # deterministic, so every stem on the chain is memoized: the confirming
+    # pass on a stem is shared by all the words that reach it. `word` itself
+    # is kept only when it is its own stem; `_terms` remembers raw words. A
+    # loop, not recursion, because a chain can be as long as the word.
+    out = _fixpoints.get(word)
     if out is not None:
         return out
-    chain = []
-    while out is None:
+    out = porter.stem(word)
+    chain = [word] if out == word else []  # stems whose fixed point is pending
+    token = word
+    while out != token:
+        token = out
+        # A raw word met before is not in `_fixpoints`, but a term `_terms`
+        # kept for it is its fixed point.
+        out = _fixpoints.get(token) or _terms.get(token)
+        if out:
+            break
         chain.append(token)
         out = porter.stem(token)
-        if out == token:
-            break
-        token = out
-        out = _fixpoints.get(token)
     if len(_fixpoints) + len(chain) > _FIXPOINT_CACHE_SIZE:
         _fixpoints.clear()
-    for word in chain:
-        _fixpoints[word] = out
+    for stem in chain:
+        _fixpoints[stem] = out
     return out
+
+
+# Bound on the raw-word memo: above one large corpus's distinct words.
+_TERM_CACHE_SIZE = 1 << 16
+
+
+class _TermMemo(dict):
+    """Raw word -> its final term, or "" when the pipeline drops it.
+
+    A miss runs the whole pipeline for one word and interns the term in
+    `TERMS`, so a hit costs one dict lookup and documents intern on the
+    fast path. Emptied when full.
+    """
+
+    def __missing__(self, word: str) -> str:
+        stoplist = stopwords()
+        term = ""
+        if len(word) >= 2 and not word.isdigit() and word not in stoplist:
+            stem = _stem_fixpoint(word)
+            if len(stem) >= 2 and not stem.isdigit() and stem not in stoplist:
+                term = stem
+                TERMS.add(term)
+        if len(self) >= _TERM_CACHE_SIZE:
+            self.clear()
+        self[word] = term
+        return term
+
+
+_terms = _TermMemo()
 
 
 def preprocess_text(raw_text: str) -> list[str]:
@@ -201,9 +252,7 @@ def preprocess_text(raw_text: str) -> list[str]:
     fixed-point stemming makes the pipeline idempotent: re-running it over
     its own output changes nothing.
     """
-    stoplist = stopwords()
-    stems = (_stem_fixpoint(t) for t in remove_stopwords(tokenize(raw_text)))
-    return [s for s in stems if len(s) >= 2 and not s.isdigit() and s not in stoplist]
+    return list(filter(None, map(_terms.__getitem__, _words(raw_text))))
 
 
 def _read_documents(entries, skipped: int) -> LabeledCorpus:

@@ -4,104 +4,51 @@ Self-contained implementation of the classic five-step algorithm. Within
 each step the longest matching suffix is selected first; once a suffix
 matches, the step is consumed whether or not its measure condition lets
 the rewrite fire (reference-implementation semantics).
+
+Each word is classified once: its form holds `v` for a vowel and `c` for a
+consonant, position by position, so the measure m of a stem of length k is
+`form.count(b"vc", 0, k)` and `*v*` is a `b"v"` in its first k bytes. The
+steps only cut suffixes and append replacements that hold no `y`, and a
+letter's class depends only on the letters before it, so the form follows
+the word by the same cuts and appends. `tests/oracles.py::porter_reference`
+is the algorithm as published; `stem` must agree with it on every input.
 """
 
-_VOWELS = "aeiou"
+_V, _C, _Y = b"vcy"
+
+# Byte classes: vowels are v, y is resolved from its left neighbour, and
+# every other byte is a consonant (a non-ASCII character becomes `?`).
+_CLASSES = bytes(_V if b in b"aeiou" else _Y if b == _Y else _C for b in range(256))
 
 
-def _is_consonant(word: str, i: int) -> bool:
-    ch = word[i]
-    if ch in _VOWELS:
-        return False
-    if ch == "y":
-        return i == 0 or not _is_consonant(word, i - 1)
-    return True
+def _resolve_y(form: bytes) -> bytes:
+    """Classify each y: a consonant at the start or after a vowel, else a
+    vowel. Each round settles every y whose left neighbour is settled."""
+    if form[0] == _Y:
+        form = b"c" + form[1:]
+    while _Y in form:
+        form = form.replace(b"vy", b"vc").replace(b"cy", b"cv")
+    return form
 
 
-def _measure(stem: str) -> int:
-    """Count VC sequences: the m of [C](VC){m}[V]."""
-    m = 0
-    prev_vowel = False
-    for i in range(len(stem)):
-        vowel = not _is_consonant(stem, i)
-        if prev_vowel and not vowel:
-            m += 1
-        prev_vowel = vowel
-    return m
+def _rule_table(rules):
+    """Rules bucketed by the last two letters of their suffix, in their
+    given order, each with the form of its replacement (no replacement
+    holds a y).
 
-
-def _has_vowel(stem: str) -> bool:
-    return any(not _is_consonant(stem, i) for i in range(len(stem)))
-
-
-def _ends_double_consonant(word: str) -> bool:
-    return (
-        len(word) >= 2
-        and word[-1] == word[-2]
-        and _is_consonant(word, len(word) - 1)
-    )
-
-
-def _ends_cvc(word: str) -> bool:
-    """The *o condition: ends consonant-vowel-consonant, last not w/x/y."""
-    if len(word) < 3:
-        return False
-    return (
-        _is_consonant(word, len(word) - 3)
-        and not _is_consonant(word, len(word) - 2)
-        and _is_consonant(word, len(word) - 1)
-        and word[-1] not in "wxy"
-    )
-
-
-def _replace_if(word, suffix, replacement, min_measure):
-    """Strip suffix and append replacement when m(stem) > min_measure."""
-    stem = word[: len(word) - len(suffix)]
-    if _measure(stem) > min_measure:
-        return stem + replacement
-    return word
-
-
-def _step1a(word: str) -> str:
-    if word.endswith("sses"):
-        return word[:-2]
-    if word.endswith("ies"):
-        return word[:-2]
-    if word.endswith("ss"):
-        return word
-    if word.endswith("s"):
-        return word[:-1]
-    return word
-
-
-def _step1b(word: str) -> str:
-    if word.endswith("eed"):
-        return _replace_if(word, "eed", "ee", 0)
-    fired = None
-    if word.endswith("ed") and _has_vowel(word[:-2]):
-        fired = word[:-2]
-    elif word.endswith("ing") and _has_vowel(word[:-3]):
-        fired = word[:-3]
-    if fired is None:
-        return word
-    word = fired
-    if word.endswith(("at", "bl", "iz")):
-        return word + "e"
-    if _ends_double_consonant(word) and word[-1] not in "lsz":
-        return word[:-1]
-    if _measure(word) == 1 and _ends_cvc(word):
-        return word + "e"
-    return word
-
-
-def _step1c(word: str) -> str:
-    if word.endswith("y") and _has_vowel(word[:-1]):
-        return word[:-1] + "i"
-    return word
+    Every suffix has at least two letters, so only the bucket of a word's
+    last two letters can match it, and the first match within that bucket
+    is the first match of the whole tuple.
+    """
+    table = {}
+    for suffix, replacement in rules:
+        form = replacement.encode().translate(_CLASSES)
+        table.setdefault(suffix[-2:], []).append((suffix, len(suffix), replacement, form))
+    return {tail: tuple(bucket) for tail, bucket in table.items()}
 
 
 # (suffix, replacement) pairs, longest suffix first within each step.
-_STEP2_RULES = (
+_STEP2 = _rule_table((
     ("ational", "ate"), ("ization", "ize"), ("iveness", "ive"),
     ("fulness", "ful"), ("ousness", "ous"),
     ("tional", "tion"), ("biliti", "ble"),
@@ -110,77 +57,19 @@ _STEP2_RULES = (
     ("enci", "ence"), ("anci", "ance"), ("izer", "ize"),
     ("abli", "able"), ("alli", "al"), ("ator", "ate"),
     ("eli", "e"),
-)
+))
 
-_STEP3_RULES = (
+_STEP3 = _rule_table((
     ("icate", "ic"), ("ative", ""), ("alize", "al"), ("iciti", "ic"),
     ("ical", "ic"), ("ness", ""), ("ful", ""),
-)
+))
 
-_STEP4_SUFFIXES = (
+_STEP4 = _rule_table((suffix, "") for suffix in (
     "ement",
     "ance", "ence", "able", "ible", "ment",
     "ant", "ent", "ion", "ism", "ate", "iti", "ous", "ive", "ize",
     "al", "er", "ic", "ou",
-)
-
-
-def _rule_table(rules):
-    """Rules bucketed by the last letter of their suffix, in their given order.
-
-    Only suffixes ending in a word's last letter can match it, so the first
-    match within that bucket is the first match of the whole tuple.
-    """
-    table = {}
-    for rule in rules:
-        table.setdefault(rule[0][-1], []).append(rule)
-    return {last: tuple(bucket) for last, bucket in table.items()}
-
-
-_STEP2_TABLE = _rule_table(_STEP2_RULES)
-_STEP3_TABLE = _rule_table(_STEP3_RULES)
-_STEP4_TABLE = _rule_table((suffix, "") for suffix in _STEP4_SUFFIXES)
-
-
-def _first_rule(table, word: str):
-    """The first (suffix, replacement) rule of `table` that `word` ends with."""
-    for rule in table.get(word[-1:], ()):
-        if word.endswith(rule[0]):
-            return rule
-    return None
-
-
-def _step2or3(table, word: str) -> str:
-    rule = _first_rule(table, word)
-    return word if rule is None else _replace_if(word, *rule, 0)
-
-
-def _step4(word: str) -> str:
-    rule = _first_rule(_STEP4_TABLE, word)
-    if rule is None:
-        return word
-    suffix = rule[0]
-    stem = word[: len(word) - len(suffix)]
-    if suffix == "ion" and (not stem or stem[-1] not in "st"):
-        return word
-    if _measure(stem) > 1:
-        return stem
-    return word
-
-
-def _step5a(word: str) -> str:
-    if word.endswith("e"):
-        stem = word[:-1]
-        m = _measure(stem)
-        if m > 1 or (m == 1 and not _ends_cvc(stem)):
-            return stem
-    return word
-
-
-def _step5b(word: str) -> str:
-    if word.endswith("ll") and _measure(word) > 1:
-        return word[:-1]
-    return word
+))
 
 
 def stem(word: str) -> str:
@@ -190,12 +79,72 @@ def stem(word: str) -> str:
     """
     if len(word) <= 2:
         return word
-    word = _step1a(word)
-    word = _step1b(word)
-    word = _step1c(word)
-    word = _step2or3(_STEP2_TABLE, word)
-    word = _step2or3(_STEP3_TABLE, word)
-    word = _step4(word)
-    word = _step5a(word)
-    word = _step5b(word)
+    form = word.encode("ascii", "replace").translate(_CLASSES)
+    if _Y in form:
+        form = _resolve_y(form)
+
+    # Step 1a: plurals.
+    last = word[-1]
+    if last == "s":
+        if word.endswith(("sses", "ies")):
+            word, form = word[:-2], form[:-2]
+        elif word[-2] != "s":
+            word, form = word[:-1], form[:-1]
+        last = word[-1]
+
+    # Step 1b: -eed, -ed, -ing.
+    k = 0
+    if last == "d":
+        if word.endswith("eed"):
+            if form.count(b"vc", 0, len(word) - 3):
+                word, form = word[:-1], form[:-1]
+        elif word[-2] == "e":
+            k = len(word) - 2
+    elif last == "g" and word.endswith("ing"):
+        k = len(word) - 3
+    if k and _V in form[:k]:
+        word, form = word[:k], form[:k]
+        last = word[-1]
+        if word.endswith(("at", "bl", "iz")):
+            word, form = word + "e", form + b"v"
+        elif k >= 2 and last == word[-2] and form[-1] == _C and last not in "lsz":
+            word, form = word[:-1], form[:-1]
+        elif form.count(b"vc") == 1 and form.endswith(b"cvc") and last not in "wxy":
+            word, form = word + "e", form + b"v"
+
+    # Step 1c: y -> i after a vowel.
+    if word[-1] == "y" and _V in form[:-1]:
+        word, form = word[:-1] + "i", form[:-1] + b"v"
+
+    # Steps 2 and 3: m > 0 rewrites.
+    for suffix, n, replacement, replacement_form in _STEP2.get(word[-2:], ()):
+        if word.endswith(suffix):
+            k = len(word) - n
+            if form.count(b"vc", 0, k):
+                word, form = word[:k] + replacement, form[:k] + replacement_form
+            break
+    for suffix, n, replacement, replacement_form in _STEP3.get(word[-2:], ()):
+        if word.endswith(suffix):
+            k = len(word) - n
+            if form.count(b"vc", 0, k):
+                word, form = word[:k] + replacement, form[:k] + replacement_form
+            break
+
+    # Step 4: m > 1 removals; -ion only after s or t.
+    for suffix, n, _, _ in _STEP4.get(word[-2:], ()):
+        if word.endswith(suffix):
+            k = len(word) - n
+            if form.count(b"vc", 0, k) > 1 and (suffix != "ion" or word[k - 1] in "st"):
+                word, form = word[:k], form[:k]
+            break
+
+    # Step 5: a final e, and a final ll.
+    if word[-1:] == "e":
+        k = len(word) - 1
+        m = form.count(b"vc", 0, k)
+        if m > 1 or (m == 1 and not (form.endswith(b"cvc", 0, k)
+                                     and word[k - 1] not in "wxy")):
+            word, form = word[:k], form[:k]
+    if word.endswith("ll") and form.count(b"vc") > 1:
+        word = word[:-1]
     return word

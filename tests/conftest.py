@@ -1,8 +1,11 @@
+import importlib.util
 import random
+from functools import cache
+from pathlib import Path
 
 import pytest
 
-from driftfilter.corpus import Document, Label, LabeledCorpus
+from driftfilter.corpus import Document, Label, LabeledCorpus, stopwords
 
 
 def make_doc(i, label, tokens):
@@ -34,6 +37,19 @@ def random_corpus(rng: random.Random, max_docs=50, max_terms=200):
         length = rng.randint(1, 30)
         spec.append((label, [rng.choice(vocab) for _ in range(length)]))
     return make_corpus(spec)
+
+
+@cache
+def generated_mail(seed=3, n_docs=60, words_per_doc=120):
+    """The texts of a small `perfbench/mailgen.py` corpus, in arrival order.
+    The generator is loaded from its file, so `perfbench/` stays off sys.path."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "mailgen.py"
+    spec = importlib.util.spec_from_file_location("mailgen", path)
+    mailgen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mailgen)
+    files = mailgen.generate(seed, sorted(stopwords()), n_docs=n_docs,
+                             words_per_doc=words_per_doc)
+    return tuple(text for _, text in files)
 
 
 @pytest.fixture

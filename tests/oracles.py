@@ -8,6 +8,7 @@ library's code paths.
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 
@@ -342,3 +343,164 @@ def wilcoxon_auc(scores, truths):
             elif p == q:
                 total += 0.5
     return total / (len(pos) * len(neg))
+
+
+# ---------------------------------------------------------------------------
+# Porter's stemmer, one character test and one suffix test at a time
+
+_PORTER_VOWELS = "aeiou"
+
+# (suffix, replacement) pairs, longest suffix first within each step; the
+# first suffix a word ends with consumes the step, whether or not its
+# measure condition lets the rewrite fire.
+_PORTER_STEP2 = (
+    ("ational", "ate"), ("ization", "ize"), ("iveness", "ive"),
+    ("fulness", "ful"), ("ousness", "ous"),
+    ("tional", "tion"), ("biliti", "ble"),
+    ("ation", "ate"), ("alism", "al"), ("aliti", "al"),
+    ("iviti", "ive"), ("ousli", "ous"), ("entli", "ent"),
+    ("enci", "ence"), ("anci", "ance"), ("izer", "ize"),
+    ("abli", "able"), ("alli", "al"), ("ator", "ate"),
+    ("eli", "e"),
+)
+_PORTER_STEP3 = (
+    ("icate", "ic"), ("ative", ""), ("alize", "al"), ("iciti", "ic"),
+    ("ical", "ic"), ("ness", ""), ("ful", ""),
+)
+_PORTER_STEP4 = (
+    "ement",
+    "ance", "ence", "able", "ible", "ment",
+    "ant", "ent", "ion", "ism", "ate", "iti", "ous", "ive", "ize",
+    "al", "er", "ic", "ou",
+)
+
+
+def _porter_consonant(word, i):
+    ch = word[i]
+    if ch in _PORTER_VOWELS:
+        return False
+    if ch == "y":
+        return i == 0 or not _porter_consonant(word, i - 1)
+    return True
+
+
+def _porter_measure(stem):
+    """Count VC sequences: the m of [C](VC){m}[V]."""
+    m = 0
+    prev_vowel = False
+    for i in range(len(stem)):
+        vowel = not _porter_consonant(stem, i)
+        if prev_vowel and not vowel:
+            m += 1
+        prev_vowel = vowel
+    return m
+
+
+def _porter_has_vowel(stem):
+    return any(not _porter_consonant(stem, i) for i in range(len(stem)))
+
+
+def _porter_ends_double_consonant(word):
+    return (len(word) >= 2 and word[-1] == word[-2]
+            and _porter_consonant(word, len(word) - 1))
+
+
+def _porter_ends_cvc(word):
+    """The *o condition: ends consonant-vowel-consonant, last not w/x/y."""
+    if len(word) < 3:
+        return False
+    return (_porter_consonant(word, len(word) - 3)
+            and not _porter_consonant(word, len(word) - 2)
+            and _porter_consonant(word, len(word) - 1)
+            and word[-1] not in "wxy")
+
+
+def _porter_replace_if(word, suffix, replacement, min_measure):
+    stem = word[: len(word) - len(suffix)]
+    if _porter_measure(stem) > min_measure:
+        return stem + replacement
+    return word
+
+
+def _porter_step1b(word):
+    if word.endswith("eed"):
+        return _porter_replace_if(word, "eed", "ee", 0)
+    if word.endswith("ed") and _porter_has_vowel(word[:-2]):
+        word = word[:-2]
+    elif word.endswith("ing") and _porter_has_vowel(word[:-3]):
+        word = word[:-3]
+    else:
+        return word
+    if word.endswith(("at", "bl", "iz")):
+        return word + "e"
+    if _porter_ends_double_consonant(word) and word[-1] not in "lsz":
+        return word[:-1]
+    if _porter_measure(word) == 1 and _porter_ends_cvc(word):
+        return word + "e"
+    return word
+
+
+def _porter_step2or3(rules, word):
+    for suffix, replacement in rules:
+        if word.endswith(suffix):
+            return _porter_replace_if(word, suffix, replacement, 0)
+    return word
+
+
+def _porter_step4(word):
+    for suffix in _PORTER_STEP4:
+        if word.endswith(suffix):
+            stem = word[: len(word) - len(suffix)]
+            if suffix == "ion" and (not stem or stem[-1] not in "st"):
+                return word
+            return stem if _porter_measure(stem) > 1 else word
+    return word
+
+
+def porter_reference(word):
+    """Porter's five steps (Program 14, 1980) as published: every condition
+    tested character by character, every suffix by a scan of its step's
+    rules. `porter.stem` must return the same string for every input."""
+    if len(word) <= 2:
+        return word
+    if word.endswith(("sses", "ies")):
+        word = word[:-2]
+    elif word.endswith("s") and not word.endswith("ss"):
+        word = word[:-1]
+    word = _porter_step1b(word)
+    if word.endswith("y") and _porter_has_vowel(word[:-1]):
+        word = word[:-1] + "i"
+    word = _porter_step2or3(_PORTER_STEP2, word)
+    word = _porter_step2or3(_PORTER_STEP3, word)
+    word = _porter_step4(word)
+    if word.endswith("e"):
+        m = _porter_measure(word[:-1])
+        if m > 1 or (m == 1 and not _porter_ends_cvc(word[:-1])):
+            word = word[:-1]
+    if word.endswith("ll") and _porter_measure(word) > 1:
+        word = word[:-1]
+    return word
+
+
+# ---------------------------------------------------------------------------
+# Text preprocessing, one word at a time and without memos
+
+
+def tokenize_reference(text):
+    """Runs of at least two ASCII letters or digits in the lowercased text,
+    found by a regex; all-digit runs are dropped."""
+    return [t for t in re.findall(r"[a-z0-9]{2,}", text.lower()) if not t.isdigit()]
+
+
+def preprocess_reference(text, stoplist):
+    """Tokenize, drop stop words, apply Porter until a fixed point, and drop
+    stems that are short, all digits or stop words."""
+    out = []
+    for word in tokenize_reference(text):
+        if word in stoplist:
+            continue
+        while (stem := porter_reference(word)) != word:
+            word = stem
+        if len(word) >= 2 and not word.isdigit() and word not in stoplist:
+            out.append(word)
+    return out

@@ -76,6 +76,15 @@ class TestParseConfig:
         with pytest.raises(CliError, match="unknown configuration keys: alpha, zeta$"):
             parse_config(path, {"alpha": "2", "seed": "3"})
 
+    def test_repeated_key_names_both_lines(self, capsys, tmp_path):
+        path = tmp_path / "run.conf"
+        path.write_text("rho = 0.5\n# retuned\nrho = 0.7\n", encoding="utf-8")
+        assert cli.main(["config", "dump", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {path}:3: key 'rho' is already set on line 1\n")
+
     def test_malformed_value(self, tmp_path):
         path = tmp_path / "run.conf"
         path.write_text("rho = high\n", encoding="utf-8")

@@ -18,7 +18,8 @@ from driftfilter.corpus import (
     stopwords, synth_drift, tokenize, write_enron_layout,
 )
 
-from conftest import make_doc, make_corpus
+import oracles
+from conftest import generated_mail, make_doc, make_corpus
 
 
 class TestTokenize:
@@ -47,12 +48,13 @@ class TestTokenize:
             for token in tokenize(text):
                 assert token == token.lower()
 
-    @given(st.one_of(st.text(), st.text(alphabet="aZ09 _-.\nİKé٣")))
+    @given(st.one_of(st.text(), st.text(alphabet="aZ09 _-.\nİKé٣\ufffd")))
     def test_equals_split_and_filter(self, text):
         # The reference: split on runs of non-alphanumerics, then drop
         # pieces shorter than two characters and pure-digit pieces. The
         # alphabet holds U+0130 and U+212A, whose lowercase forms contain
-        # ASCII letters, and U+0663, a digit outside [0-9].
+        # ASCII letters, U+0663, a digit outside [0-9], and U+FFFD, which
+        # stands for each undecodable byte of a mail file.
         pieces = re.split(r"[^a-z0-9]+", text.lower())
         expected = [t for t in pieces if len(t) >= 2 and not re.match(r"^[0-9]+$", t)]
         assert tokenize(text) == expected
@@ -97,9 +99,14 @@ class TestStemFixpoint:
         assert corpus._stem_fixpoint(word) == expected
 
     def test_shared_chain_is_memoized(self):
+        # Stems only: the raw word is kept when it is its own stem. The
+        # raw-word memo is emptied too, as the chain also reads it.
         corpus._fixpoints.clear()
+        corpus._terms.clear()
         assert corpus._stem_fixpoint("agreed") == "agr"
-        assert corpus._fixpoints == {"agreed": "agr", "agre": "agr", "agr": "agr"}
+        assert corpus._fixpoints == {"agre": "agr", "agr": "agr"}
+        assert corpus._stem_fixpoint("offer") == "offer"
+        assert corpus._fixpoints["offer"] == "offer"
 
     def test_long_chain_without_recursion(self):
         # One Porter pass strips one "ed", so the chain is deeper than the
@@ -109,7 +116,7 @@ class TestStemFixpoint:
         word = "b" + "ed" * depth
         corpus._fixpoints.clear()
         assert corpus._stem_fixpoint(word) == _fixpoint_by_loop(word)
-        assert len(corpus._fixpoints) >= depth
+        assert len(corpus._fixpoints) >= depth - 1  # every stem but the raw word
 
     def test_memo_stays_bounded(self, monkeypatch):
         monkeypatch.setattr(corpus, "_FIXPOINT_CACHE_SIZE", 8)
@@ -119,6 +126,19 @@ class TestStemFixpoint:
         for word in words + words:
             assert corpus._stem_fixpoint(word) == _fixpoint_by_loop(word)
             assert len(corpus._fixpoints) <= 8
+
+
+# Roots, stop words and digit runs carrying Porter suffixes, some of which
+# stem onto a stop word, below the length floor or to all digits.
+SUFFIXED_WORDS = st.builds(
+    "".join,
+    st.tuples(
+        st.sampled_from(("agre", "hop", "rel", "conform", "gener", "sky", "on",
+                         "the", "i", "19", "off", "caress", "feud", "happ")),
+        st.sampled_from(("", "s", "es", "ies", "ed", "eed", "ing", "y", "ly", "ational",
+                         "ization", "iveness", "ness", "ement", "ate", "al", "ll")),
+    ),
+)
 
 
 class TestPreprocess:
@@ -156,6 +176,33 @@ class TestPreprocess:
         # (19s stems to the all-digit 19, which must not be kept).
         first = preprocess_text(text)
         assert preprocess_text(" ".join(first)) == first
+
+    @given(st.one_of(
+        st.text(),
+        st.lists(st.one_of(SUFFIXED_WORDS, st.text(alphabet="aeiouy19sİ", max_size=6)))
+        .map(" ".join),
+    ))
+    def test_matches_reference_composition(self, text):
+        out = preprocess_text(text)
+        assert out == oracles.preprocess_reference(text, stopwords())
+        assert all(term in corpus.TERMS.ids for term in out)
+
+    def test_matches_reference_on_generated_mail(self):
+        stoplist = stopwords()
+        for text in generated_mail():
+            assert preprocess_text(text) == oracles.preprocess_reference(text, stoplist)
+
+    def test_bounded_memo_gives_the_same_terms(self, monkeypatch):
+        # Every document holds more distinct words than the bound, so the
+        # memo is emptied within documents as well as between them.
+        monkeypatch.setattr(corpus, "_TERM_CACHE_SIZE", 8)
+        corpus._terms.clear()
+        texts = generated_mail()[:8]
+        stoplist = stopwords()
+        for text in texts + texts:
+            assert len(set(tokenize(text))) > 8
+            assert preprocess_text(text) == oracles.preprocess_reference(text, stoplist)
+            assert len(corpus._terms) <= 8
 
     def test_output_clean(self):
         out = preprocess_text("The THE tHe spammy offer now 99")

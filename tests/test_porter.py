@@ -1,4 +1,11 @@
-from driftfilter import porter
+import itertools
+import re
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
+from conftest import generated_mail
 from driftfilter.porter import stem
 
 # Hand-verified against the published algorithm's rule examples,
@@ -83,18 +90,6 @@ REFERENCE = [
     ("ion", "ion"),  # empty stem
 ]
 
-# Each step's rule table beside the tuple it is built from.
-STEP_TABLES = (
-    (porter._STEP2_TABLE, porter._STEP2_RULES),
-    (porter._STEP3_TABLE, porter._STEP3_RULES),
-    (porter._STEP4_TABLE, tuple((suffix, "") for suffix in porter._STEP4_SUFFIXES)),
-)
-ALL_SUFFIXES = sorted({rule[0] for _, rules in STEP_TABLES for rule in rules})
-
-
-def _first_rule_by_scan(rules, word):
-    return next((rule for rule in rules if word.endswith(rule[0])), None)
-
 
 def test_reference_vectors():
     for word, expected in REFERENCE:
@@ -112,12 +107,51 @@ def test_stem_is_lowercase_alpha_safe():
     assert stem("x99") == "x99"
 
 
-def test_bucketed_lookup_matches_linear_scan_on_rule_suffixes():
-    for base in ("", "x", "rel", "conform", "sensibil", "ational"):
-        for suffix in ALL_SUFFIXES:
-            word = base + suffix
-            for table, rules in STEP_TABLES:
-                assert porter._first_rule(table, word) == _first_rule_by_scan(
-                    rules, word
-                ), word
+# Every suffix a Porter step tests, and letters weighted to vowels and y,
+# whose class depends on its left neighbour.
+RULE_SUFFIXES = sorted(
+    {suffix for suffix, _ in oracles._PORTER_STEP2 + oracles._PORTER_STEP3}
+    | set(oracles._PORTER_STEP4)
+    | {"sses", "ies", "ss", "s", "eed", "ed", "ing", "at", "bl", "iz", "y", "e", "ll"}
+)
+ROOT_LETTERS = "aeiouyyybcdlnrstwxz"
 
+
+SUFFIXED_WORDS = st.builds(
+    lambda root, suffixes: root + "".join(suffixes),
+    st.text(alphabet=ROOT_LETTERS, max_size=8),
+    st.lists(st.sampled_from(RULE_SUFFIXES), min_size=1, max_size=3),
+)
+
+
+@settings(max_examples=300)
+@given(st.lists(SUFFIXED_WORDS, max_size=20))
+def test_matches_reference_on_rule_suffixes(words):
+    for word in words:
+        assert stem(word) == oracles.porter_reference(word), word
+
+
+def test_matches_reference_on_short_roots():
+    # Every root of up to three letters over consonants, vowels, w, x and
+    # y: the letters whose class or role depends on their neighbours.
+    for size in range(4):
+        for letters in itertools.product("abeswxy", repeat=size):
+            for suffix in RULE_SUFFIXES:
+                word = "".join(letters) + suffix
+                assert stem(word) == oracles.porter_reference(word), word
+
+
+@settings(max_examples=500)
+@given(st.one_of(st.text(), st.text(alphabet=ROOT_LETTERS + "İ\u212a\ufffdé9", max_size=12)))
+def test_matches_reference_on_arbitrary_text(word):
+    # Any character outside a-z counts as a consonant, non-ASCII included.
+    assert stem(word) == oracles.porter_reference(word)
+
+
+def test_matches_reference_on_generated_mail():
+    words = set()
+    for text in generated_mail():
+        words.update(re.findall(r"[a-z0-9]+", text.lower()))
+    assert len(words) > 1000
+    for word in sorted(words):
+        assert stem(word) == oracles.porter_reference(word), word

@@ -3,6 +3,7 @@
 Usage (Python 3.10 or later):
 
     python tools/difftrees.py OLD_TREE [NEW_TREE] [--work DIR]
+    python tools/difftrees.py OLD_TREE [NEW_TREE] --time N [--seed S] [--workload W]
 
 NEW_TREE defaults to the repository that holds this script. For each tree it
 runs `python -m driftfilter.cli` with `PYTHONPATH=<tree>/src` over the same
@@ -25,16 +26,33 @@ is printed with its line and column, then a summary line. Exit status: 0 when
 every output is byte-identical, 1 on any difference, 2 when a tree is missing
 or one of its runs fails. This is an audit aid, not a gate; tier-1 does not
 collect it, and it reads `perfbench/` without changing it.
+
+With `--time N` it compares run time instead of outputs. Over the inputs of
+each benchmark workload (or of each `--workload`) at benchmark seed S
+(default 1), it runs OLD, NEW and a copy of OLD's sources one after another,
+each as a fresh `perfbench/child.py` with `PYTHONPATH=<tree>/src`, N rounds
+over, rotating which tree runs first. Per workload it prints every pair's
+`run_s`, each tree's median and quartiles, the user and sys CPU seconds of
+each child process (from `resource.getrusage(RUSAGE_CHILDREN)`, which also
+counts set-up and numpy's BLAS threads) and its `peak_rss_mb`, then NEW
+against OLD (A/B) and the copy against OLD (A/A): the pairs won and the
+median difference. The A/A line is the control: two identical trees differ
+by that much on the measuring host. Exit status 0, or 2 when a run fails.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import random
+import resource
+import shutil
+import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -44,6 +62,7 @@ SYNTH = ["--format", "synth", "--experiment", "2", "--synth-vocab", "400",
          "--synth-docs-per-phase", "300", "--n", "100", "--seed", "3"]
 MANIFEST = ["--n", "40", "--seed", "5"]
 CONTEXT = 40  # characters shown on each side of a first difference
+TREES = ("old", "new", "copy")  # the timed trees; copy is OLD's sources, copied
 
 
 class TreeError(Exception):
@@ -87,17 +106,32 @@ def write_manifest(root: Path, mailgen, stoplist) -> Path:
     return manifest
 
 
-def plan(inputs: Path) -> list[tuple[str, list[str]]]:
-    """Write every input under `inputs`; return (name, `run` arguments) per run."""
-    sys.path.insert(0, str(ROOT / "perfbench"))
+def _bench_modules():
+    """`perfbench/mailgen.py` and `perfbench/run.py`, imported read-only."""
+    if str(ROOT / "perfbench") not in sys.path:
+        sys.path.insert(0, str(ROOT / "perfbench"))
     import mailgen
     import run as bench
 
-    stoplist = (ROOT / "src" / "driftfilter" / "data" / "stopwords.txt").read_text(
+    return mailgen, bench
+
+
+def _stoplist() -> list[str]:
+    return (ROOT / "src" / "driftfilter" / "data" / "stopwords.txt").read_text(
         encoding="utf-8").split()
-    runs = []
+
+
+def workload_configs(inputs: Path, seeds, names=None) -> list[tuple[str, int, Path]]:
+    """Write the `run.conf` (and mail corpus) of each input of each benchmark
+    workload (all, or those in `names`) at each benchmark seed; returns
+    (workload, program seed, config path) per input."""
+    mailgen, bench = _bench_modules()
+    stoplist = _stoplist()
+    configs = []
     for name, workload in bench.WORKLOADS.items():
-        for seed in BENCH_SEEDS:
+        if names and name not in names:
+            continue
+        for seed in seeds:
             for k in range(bench.INPUTS_PER_SEED):
                 program_seed = 1000 * seed + k
                 config = dict(workload.config, seed=program_seed)
@@ -109,8 +143,16 @@ def plan(inputs: Path) -> list[tuple[str, list[str]]]:
                 conf.write_text("".join(f"{key} = {value}\n"
                                         for key, value in config.items()),
                                 encoding="utf-8")
-                runs.append((f"{name}{program_seed}", ["--config", str(conf)]))
-    manifest = write_manifest(inputs / "manifest", mailgen, stoplist)
+                configs.append((name, program_seed, conf))
+    return configs
+
+
+def plan(inputs: Path) -> list[tuple[str, list[str]]]:
+    """Write every input under `inputs`; return (name, `run` arguments) per run."""
+    runs = [(f"{name}{program_seed}", ["--config", str(conf)])
+            for name, program_seed, conf in workload_configs(inputs, BENCH_SEEDS)]
+    mailgen, _ = _bench_modules()
+    manifest = write_manifest(inputs / "manifest", mailgen, _stoplist())
     runs += [
         ("synth_rbf", SYNTH + ["--kernel", "rbf", "--gamma", "0.5"]),
         ("synth_since_retrain", SYNTH + ["--fpr-trigger", "since_retrain",
@@ -176,6 +218,87 @@ def compare(old: Path, new: Path) -> tuple[int, int]:
     return len(old_files | new_files), differing
 
 
+def timed_run(tree: Path, config: Path, out: Path) -> tuple[float, float, float, float]:
+    """One run of `driftfilter run --config CONFIG` in a fresh
+    `perfbench/child.py` on the sources of `tree`. Returns the child's
+    `run_s`, the user and sys CPU seconds of its whole process, and its
+    `peak_rss_mb`."""
+    result = out.parent / f"{out.name}.json"
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONHASHSEED="0")
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "child.py"), repr(time.monotonic()),
+         str(result), str(config), str(out), "0"],
+        cwd=out.parent, env=env, stdin=subprocess.DEVNULL, capture_output=True, text=True)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    record = json.loads(result.read_text(encoding="utf-8")) if result.is_file() else {}
+    if proc.returncode != 0 or record.get("exit_code") != 0:
+        log = out.parent / f"{out.name}.log"
+        detail = log.read_text(encoding="utf-8") if log.is_file() else proc.stderr
+        raise TreeError(f"{tree}: timed run of {config} failed:\n{detail[-2000:]}")
+    shutil.rmtree(out)
+    return (record["run_s"], after.ru_utime - before.ru_utime,
+            after.ru_stime - before.ru_stime, record["peak_rss_mb"])
+
+
+def _versus(label: str, pairs, base, other) -> str:
+    """Win count and median difference of `other` against `base` over pairs."""
+    diffs = [p[other][0] - p[base][0] for p in pairs]
+    shares = [d / p[base][0] for d, p in zip(diffs, pairs)]
+    cpu = [sum(p[other][1:3]) - sum(p[base][1:3]) for p in pairs]
+    wins = sum(d < 0 for d in diffs)
+    return (f"{label}: {other} faster in {wins}/{len(pairs)} pairs; median "
+            f"{other}-{base} {statistics.median(diffs):+.4f} s "
+            f"({statistics.median(shares):+.1%}); median CPU difference "
+            f"{statistics.median(cpu):+.4f} s")
+
+
+def report_timing(workload: str, pairs) -> None:
+    """Per-pair `run_s`, each tree's quartiles, the A/B and A/A comparisons."""
+    print(f"{workload}: {len(pairs)} pairs, run_s in seconds "
+          f"(CPU = user + sys of the whole child process)")
+    print("  input round      old      new     copy  new-old copy-old")
+    for p in pairs:
+        print(f"  {p['input']:5d} {p['round']:5d} {p['old'][0]:8.4f} {p['new'][0]:8.4f} "
+              f"{p['copy'][0]:8.4f} {p['new'][0] - p['old'][0]:+8.4f} "
+              f"{p['copy'][0] - p['old'][0]:+8.4f}")
+    _, bench = _bench_modules()
+    for label in TREES:
+        q1, q2, q3 = bench.quartiles([p[label][0] for p in pairs])
+        user = statistics.median(p[label][1] for p in pairs)
+        system = statistics.median(p[label][2] for p in pairs)
+        rss = statistics.median(p[label][3] for p in pairs)
+        print(f"  {label:4s} run_s median {q2:.4f} q1 {q1:.4f} q3 {q3:.4f} "
+              f"(spread {q3 - q1:.4f}); CPU median user {user:.3f} sys {system:.3f}; "
+              f"peak_rss_mb median {rss:.2f}")
+    print("  " + _versus("A/B", pairs, "old", "new"))
+    print("  " + _versus("A/A", pairs, "old", "copy"))
+
+
+def time_trees(old_tree: Path, new_tree: Path, rounds: int, seed: int, names,
+               work: Path) -> None:
+    """Alternate OLD, NEW and a copy of OLD run by run over the inputs of
+    each workload, `rounds` times, rotating which tree runs first."""
+    copy = work / "old_copy"
+    shutil.copytree(old_tree / "src", copy / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    trees = {"old": old_tree, "new": new_tree, "copy": copy}
+    (work / "inputs").mkdir(parents=True, exist_ok=True)
+    (work / "runs").mkdir(exist_ok=True)
+    configs = workload_configs(work / "inputs", (seed,), names)
+    pairs: dict[str, list[dict]] = {}
+    for r in range(rounds):
+        for i, (workload, program_seed, conf) in enumerate(configs):
+            shift = (r + i) % len(TREES)
+            pair = {"input": program_seed, "round": r}
+            for label in TREES[shift:] + TREES[:shift]:
+                out = work / "runs" / f"{label}-{program_seed}-{r}"
+                pair[label] = timed_run(trees[label], conf, out)
+            pairs.setdefault(workload, []).append(pair)
+    for workload, rows in pairs.items():
+        report_timing(workload, rows)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("old_tree", type=Path)
@@ -183,7 +306,17 @@ def main(argv=None) -> int:
     parser.add_argument("--work", type=Path,
                         help="keep inputs and outputs here (default: a temporary "
                              "directory, removed afterwards)")
+    parser.add_argument("--time", type=int, metavar="N",
+                        help="compare run time instead of outputs: N rounds over "
+                             "the inputs of each workload")
+    parser.add_argument("--seed", type=int, default=1,
+                        help="benchmark seed of the timed inputs (default 1)")
+    parser.add_argument("--workload", action="append",
+                        choices=sorted(_bench_modules()[1].WORKLOADS),
+                        help="time only this workload (repeatable; default all)")
     args = parser.parse_args(argv)
+    if args.time is not None and args.time < 1:
+        parser.error("--time needs at least 1 round")
     old_tree, new_tree = args.old_tree.resolve(), args.new_tree.resolve()
     for tree in (old_tree, new_tree):
         if not (tree / "src" / "driftfilter" / "cli.py").is_file():
@@ -191,6 +324,13 @@ def main(argv=None) -> int:
             return 2
     with tempfile.TemporaryDirectory() as tmp:
         work = (args.work or Path(tmp)).resolve()
+        if args.time is not None:
+            try:
+                time_trees(old_tree, new_tree, args.time, args.seed, args.workload, work)
+            except (TreeError, FileExistsError) as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return 2
+            return 0
         (work / "inputs").mkdir(parents=True, exist_ok=True)
         runs = plan(work / "inputs")
         try:
