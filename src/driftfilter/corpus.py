@@ -173,12 +173,6 @@ def tokenize(raw_text: str) -> list[str]:
     return [t for t in _words(raw_text) if len(t) >= 2 and not t.isdigit()]
 
 
-def remove_stopwords(tokens) -> list[str]:
-    """Filter stop-list members, preserving the order of survivors."""
-    stoplist = stopwords()
-    return [t for t in tokens if t not in stoplist]
-
-
 # Bound on the fixed-point memo: above one large corpus's distinct stems, so
 # a run never evicts, yet finite in a process that loads corpus after corpus.
 _FIXPOINT_CACHE_SIZE = 1 << 16

@@ -6,8 +6,14 @@ maximal violator `i`, then the partner `j` with the largest guaranteed
 gain of the dual objective. The solver stops once the gap between the
 largest and smallest admissible bias falls below the tolerance (Keerthi
 et al., Neural Computation 13, 2001). Box and equality constraints stay
-exact by construction. Kernel rows are computed from each example's
-nonzero columns and kept in an LRU cache.
+exact by construction.
+
+Kernel rows are computed from each example's nonzero columns. Sparse
+training data is kept column-wise (for each feature, the examples that hold
+it), denser data as a dense column-major copy; both give the same rows bit
+for bit. Rows are kept in an LRU cache, a row with few entries other than
++0.0 as just those entries and the pair curvature there (Joachims, 1999;
+Fan, Chen & Lin, 2005).
 """
 
 from __future__ import annotations
@@ -25,6 +31,14 @@ logger = logging.getLogger(__name__)
 
 _TAU = 1e-12  # curvature floor for a pair with K_ii + K_jj - 2 K_ij <= 0
 _ROW_CACHE_FLOATS = 1 << 25  # kernel-row cache budget, roughly 256 MB
+# Data with fewer nonzeros than this share of dim * n is kept column-wise.
+# Scattering an example's columns from the store costs what gathering them
+# from a dense copy costs at a few hundred column entries, but three times
+# as much at several thousand, where the dense copy pays for itself.
+_COLUMN_STORE_SHARE = 1 / 16
+# A kernel row with fewer entries other than +0.0 than this share of n is
+# cached as those entries.
+_SPARSE_ROW_SHARE = 0.5
 ALPHA_EPSILON = 1e-8  # a multiplier above this makes its example a support vector
 
 KERNELS = ("linear", "rbf")
@@ -95,40 +109,83 @@ def _flat_entries(vectors) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 class _KernelTable:
     """Training kernel rows in an LRU cache, each computed from one
-    example's nonzero columns against a column-major copy of the data."""
+    example's nonzero columns.
+
+    The data is a dense column-major copy `XT`, or for sparse data a column
+    store, with `XT` None: `columns[f]` holds the ids, in order, of the
+    examples that hold feature f and their weights. Row i is cached as
+    `(positions, values, nonpositive, curvature)`: the positions of its
+    entries other than +0.0, their values, the positions t where the pair
+    curvature `diag[t] + diag[i] - 2 row[t]` is at most 0, and the curvature
+    at `positions`; or None, the whole row, `nonpositive` and None.
+    """
 
     def __init__(self, vectors, dim: int, config: TrainConfig):
         n = len(vectors)
         owner, position, weight = _flat_entries(vectors)
-        self.XT = np.zeros((dim, n))
-        self.XT[position, owner] = weight
+        if len(weight) < _COLUMN_STORE_SHARE * dim * n:
+            self.XT = None
+            order = np.argsort(position, kind="stable")
+            cuts = np.cumsum(np.bincount(position, minlength=dim))[:-1]
+            self.columns = list(zip(np.split(owner[order], cuts),
+                                    np.split(weight[order], cuts)))
+        else:
+            self.XT = np.zeros((dim, n))
+            self.XT[position, owner] = weight
+        self.n = n
         self.cols = [vec.positions for vec in vectors]
         self.vals = [vec.weights for vec in vectors]
         self.config = config
         self.sq = np.bincount(owner, weights=weight * weight, minlength=n)
         self.diag = np.ones(n) if config.kernel == "rbf" else self.sq
-        self.cache: OrderedDict[int, np.ndarray] = OrderedDict()
+        self.cache: OrderedDict[int, tuple] = OrderedDict()
         self.limit = max(16, _ROW_CACHE_FLOATS // max(n, 1))
+
+    def _block(self, cols) -> np.ndarray:
+        """`XT[cols]`: the data's columns `cols` as a (len(cols), n) array."""
+        if self.XT is not None:
+            return self.XT[cols]
+        block = np.zeros((len(cols), self.n))
+        for row, col in zip(block, cols.tolist()):
+            ids, weights = self.columns[col]
+            row[ids] = weights
+        return block
 
     def against(self, cols, vals, sq) -> np.ndarray:
         """Kernel values of every stored example with the vector that has
         weights `vals` at columns `cols` (all below `dim`) and squared norm
         `sq`; they depend on that vector and the stored data only."""
-        row = vals @ self.XT[cols]
+        row = vals @ self._block(cols)
         if self.config.kernel == "rbf":
             row = _rbf(self.config.gamma, self.sq, sq, row)
         return row
 
-    def row(self, i: int) -> np.ndarray:
-        row = self.cache.get(i)
-        if row is not None:
+    def row(self, i: int) -> tuple:
+        """Kernel row i in its cached form (see the class docstring)."""
+        entry = self.cache.get(i)
+        if entry is not None:
             self.cache.move_to_end(i)
-            return row
+            return entry
         row = self.against(self.cols[i], self.vals[i], self.sq[i])
+        diag_i = self.diag[i]
+        # The int64 view is 0 exactly at +0.0, so -0.0 entries are kept.
+        positions = np.flatnonzero(row.view(np.int64) != 0)
+        if len(positions) < _SPARSE_ROW_SHARE * self.n:
+            values = row[positions]
+            curvature = (self.diag[positions] + diag_i) - 2.0 * values
+        else:
+            positions, values, curvature = None, row, None
+        if positions is not None and diag_i > 0.0:
+            # Elsewhere the row is +0.0 and the curvature diag + diag_i > 0,
+            # since the diagonal is nonnegative.
+            nonpositive = positions[curvature <= 0.0]
+        else:
+            nonpositive = np.flatnonzero((self.diag + diag_i) - 2.0 * row <= 0.0)
+        entry = (positions, values, nonpositive, curvature)
         if len(self.cache) >= self.limit:
             self.cache.popitem(last=False)
-        self.cache[i] = row
-        return row
+        self.cache[i] = entry
+        return entry
 
 
 def _solve(kernel: _KernelTable, y: np.ndarray, config: TrainConfig):
@@ -148,8 +205,10 @@ def _solve(kernel: _KernelTable, y: np.ndarray, config: TrainConfig):
     -inf elsewhere, row 1 over I_low and +inf elsewhere. Every example lies
     in at least one set, so one subtraction updates every score a step
     changes, and only i and j can change sets. Each step works on buffers
-    allocated here; multipliers, labels, the kernel diagonal and the
-    objective are Python floats.
+    allocated here: a row cached sparse is scattered into a zeroed one,
+    which is zeroed again after the step, and its cached curvature is put in
+    place. Multipliers, labels, the kernel diagonal and the objective are
+    Python floats.
     """
     C, n = config.C, len(y)
     inf = math.inf
@@ -157,7 +216,7 @@ def _solve(kernel: _KernelTable, y: np.ndarray, config: TrainConfig):
     y, diag, alpha = y.tolist(), kernel.diag.tolist(), [0.0] * n
     up_scores, low_scores = masked
     curvature, gain, diff = np.empty(n), np.empty(n), np.empty(n)
-    nonpositive = np.empty(n, dtype=bool)
+    scratch_i, scratch_j = np.zeros((2, n))
     cap = config.max_passes * n
     # The tracked scores carry rounding errors of a few ulps, so a gap that
     # equals the tolerance in real arithmetic can read just below it.
@@ -173,16 +232,21 @@ def _solve(kernel: _KernelTable, y: np.ndarray, config: TrainConfig):
         converged = m - M < stop
         if converged or steps >= cap:
             break
-        row_i = kernel.row(i)
+        positions_i, row_i, nonpositive, curvature_i = kernel.row(i)
         diag_i = diag[i]
         # j maximizes the guaranteed gain b^2 / a over the I_low examples
         # with b = m - score_j > 0; the others score 0 and never win,
         # because the gap is at least the tolerance.
         np.add(kernel.diag, diag_i, out=curvature)
-        np.multiply(row_i, 2.0, out=diff)
-        np.subtract(curvature, diff, out=curvature)
-        np.less_equal(curvature, 0.0, out=nonpositive)
-        np.copyto(curvature, _TAU, where=nonpositive)
+        if positions_i is None:
+            np.multiply(row_i, 2.0, out=diff)
+            np.subtract(curvature, diff, out=curvature)
+        else:
+            # Off its positions the row is +0.0, and x - 2.0 * 0.0 is x.
+            curvature[positions_i] = curvature_i
+            scratch_i[positions_i] = row_i
+            row_i = scratch_i
+        curvature[nonpositive] = _TAU
         np.subtract(m, low_scores, out=gain)
         np.maximum(gain, 0.0, out=gain)
         np.multiply(gain, gain, out=gain)
@@ -202,9 +266,17 @@ def _solve(kernel: _KernelTable, y: np.ndarray, config: TrainConfig):
         # A multiplier that reaches its bound is put exactly on it.
         alpha[i] = (C if y[i] > 0 else 0.0) if t == room_i else alpha[i] + y[i] * t
         alpha[j] = (0.0 if y[j] > 0 else C) if t == room_j else alpha[j] - y[j] * t
-        np.subtract(row_i, kernel.row(j), out=diff)
+        positions_j, row_j, _, _ = kernel.row(j)
+        if positions_j is not None:
+            scratch_j[positions_j] = row_j
+            row_j = scratch_j
+        np.subtract(row_i, row_j, out=diff)
         diff *= t
         masked -= diff
+        if positions_i is not None:
+            scratch_i[positions_i] = 0.0
+        if positions_j is not None:
+            scratch_j[positions_j] = 0.0
         for k, score in ((i, float(up_scores[i])), (j, float(low_scores[j]))):
             below = alpha[k] < C
             above = alpha[k] > 0.0

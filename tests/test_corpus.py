@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from driftfilter import corpus, porter
 from driftfilter.corpus import (
     CorpusError, Document, Label, LabeledCorpus, load_ecml, load_enron,
-    load_pu, partition_stream, preprocess_text, remove_stopwords, split_batches,
+    load_pu, partition_stream, preprocess_text, split_batches,
     stopwords, synth_drift, tokenize, write_enron_layout,
 )
 
@@ -61,15 +61,6 @@ class TestTokenize:
 
 
 class TestStopwords:
-    def test_filter(self):
-        assert remove_stopwords(["the", "cat", "and"]) == ["cat"]
-
-    def test_empty(self):
-        assert remove_stopwords([]) == []
-
-    def test_shipped_list(self):
-        assert remove_stopwords(["a", "an", "offer"]) == ["offer"]
-
     def test_shipped_list_is_lowercase(self):
         for word in stopwords():
             assert word == word.lower()
@@ -145,6 +136,15 @@ class TestPreprocess:
     def test_pipeline(self):
         out = preprocess_text("The ponies were RUNNING faster!!")
         assert out == ["poni", "run", "faster"]
+
+    def test_drops_stopwords(self):
+        assert preprocess_text("the cat and") == ["cat"]
+
+    def test_empty(self):
+        assert preprocess_text("") == []
+
+    def test_shipped_stoplist(self):
+        assert preprocess_text("a an offer") == ["offer"]
 
     def test_idempotent_on_adversarial_words(self):
         # agreed restems (agre -> agr), ones stems onto a stopword, ies

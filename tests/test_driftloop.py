@@ -507,3 +507,7 @@ class TestDriftConfig:
     def test_selector_validated(self):
         with pytest.raises(DriftLoopError, match="selector"):
             DriftConfig(selector="pca")
+
+    def test_feature_dim_at_least_one(self):
+        with pytest.raises(DriftLoopError, match="feature_dim must be >= 1, got 0"):
+            DriftConfig(feature_dim=0)

@@ -504,3 +504,7 @@ class TestSelectTopNScored:
     def test_orders_by_score(self):
         fs = select_top_n_scored({"a": 0.5, "b": 2.0, "c": 1.0}, 2)
         assert [sf.term for sf in fs.features] == ["b", "c"]
+
+    def test_n_at_least_one(self):
+        with pytest.raises(FeatureError, match="n must be >= 1, got 0"):
+            select_top_n_scored({"a": 0.5}, n=0)

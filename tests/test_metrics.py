@@ -96,6 +96,10 @@ class TestFMeasures:
         micro, macro = f_measures(cm)
         assert micro == 0.0
 
+    def test_empty_rejected(self):
+        with pytest.raises(MetricsError, match="empty confusion matrix"):
+            f_measures(ConfusionMatrix())
+
 
 class TestMcc:
     def test_perfect(self):
@@ -110,6 +114,10 @@ class TestMcc:
 
     def test_zero_denominator_zero(self):
         assert mcc(ConfusionMatrix(tp=3, fn=1)) == 0.0
+
+    def test_empty_rejected(self):
+        with pytest.raises(MetricsError, match="empty confusion matrix"):
+            mcc(ConfusionMatrix())
 
     def test_swap_invariance(self):
         rng = random.Random(4)

@@ -268,7 +268,8 @@ def assert_matches_reference(vectors, labels, config):
     model = train_smo(vectors, labels, config)
     table = _KernelTable(vectors, model.dim, config)
     alpha, bias, objective, passes, converged = oracles.wss2_reference(
-        table.row, table.diag, np.array(labels, dtype=float), config
+        lambda i: table.against(table.cols[i], table.vals[i], table.sq[i]),
+        table.diag, np.array(labels, dtype=float), config,
     )
     keep = alpha > ALPHA_EPSILON
     assert model.alphas == tuple(alpha[keep].tolist())
@@ -303,10 +304,123 @@ class TestSolverMatchesReference:
         assert not model.converged
 
 
+# Values of `_COLUMN_STORE_SHARE` and `_SPARSE_ROW_SHARE` that force each
+# storage form: a share of 0 admits nothing, and one of 2 everything.
+DATA_FORMS = {"dense_data": 0.0, "column_store": 2.0}
+ROW_FORMS = {"dense_rows": 0.0, "sparse_rows": 2.0}
+
+
+def bits(values):
+    """The float64 bit patterns, which tell -0.0 from +0.0."""
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+def table_in(data_form, vectors, dim, config):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(svm, "_COLUMN_STORE_SHARE", DATA_FORMS[data_form])
+        return _KernelTable(vectors, dim, config)
+
+
+class TestSolverMatchesReferenceInEveryForm(TestSolverMatchesReference):
+    """The same cases with the data held dense or column-wise, and every
+    kernel row cached whole or as its entries other than +0.0."""
+
+    @pytest.fixture(
+        autouse=True, params=[(d, r) for d in DATA_FORMS for r in ROW_FORMS], ids="-".join
+    )
+    def forms(self, request, monkeypatch):
+        data_form, row_form = request.param
+        monkeypatch.setattr(svm, "_COLUMN_STORE_SHARE", DATA_FORMS[data_form])
+        monkeypatch.setattr(svm, "_SPARSE_ROW_SHARE", ROW_FORMS[row_form])
+
+
+@st.composite
+def sparse_problems(draw):
+    """Training vectors and probes over up to 8 features, most entries
+    absent and empty vectors common. Weights include negatives and
+    magnitudes whose products underflow to zero of either sign."""
+    dim = draw(st.integers(0, 8))
+    coords = st.sampled_from((0.0, 0.0, 0.0, 1.0, -1.0, -0.5, 1e-200, -1e-200)) | st.floats(
+        -3.0, 3.0
+    )
+    vectors = st.lists(coords, min_size=dim, max_size=dim).map(lambda c: vec(*c))
+    training = draw(st.lists(vectors, min_size=1, max_size=12))
+    return training, draw(st.lists(vectors, max_size=4)), dim
+
+
+class TestKernelTable:
+    @settings(deadline=None, max_examples=150)
+    @given(sparse_problems(), st.sampled_from(("linear", "rbf")))
+    def test_column_store_rows_equal_dense_rows(self, problem, kernel):
+        vectors, probes, dim = problem
+        config = kernel_config(kernel, 1.0)
+        columns = table_in("column_store", vectors, dim, config)
+        dense = table_in("dense_data", vectors, dim, config)
+        assert (columns.XT is None) == (dim > 0) and dense.XT is not None
+        for x in vectors + probes:
+            sq = float(x.weights @ x.weights)
+            assert bits(columns.against(x.positions, x.weights, sq)) == bits(
+                dense.against(x.positions, x.weights, sq)
+            )
+
+    @settings(deadline=None, max_examples=100)
+    @given(
+        sparse_problems(), st.sampled_from(("linear", "rbf")),
+        st.sampled_from(sorted(DATA_FORMS)), st.sampled_from(sorted(ROW_FORMS)),
+    )
+    def test_cached_row_is_the_kernel_row(self, problem, kernel, data_form, row_form):
+        vectors, _, dim = problem
+        table = table_in(data_form, vectors, dim, kernel_config(kernel, 1.0))
+        n = len(vectors)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(svm, "_SPARSE_ROW_SHARE", ROW_FORMS[row_form])
+            for i in range(n):
+                row = table.against(table.cols[i], table.vals[i], table.sq[i])
+                positions, values, nonpositive, curvature = table.row(i)
+                assert (positions is None) == (row_form == "dense_rows")
+                expected = (table.diag + table.diag[i]) - 2.0 * row
+                if positions is not None:
+                    assert bits(curvature) == bits(expected[positions])
+                    values, expanded = np.zeros(n), values
+                    values[positions] = expanded
+                assert bits(values) == bits(row)
+                assert nonpositive.tolist() == np.flatnonzero(expected <= 0.0).tolist()
+
+    def test_sparse_row_keeps_negative_zero(self, monkeypatch):
+        row = np.array([0.0, -0.0, 1.5, 0.0, -0.0, 0.0, 0.0])
+        monkeypatch.setattr(_KernelTable, "against", lambda table, cols, vals, sq: row.copy())
+        positions, values, _, _ = _KernelTable([vec()] * 7, 0, TrainConfig()).row(0)
+        assert positions.tolist() == [1, 2, 4]
+        assert bits(values) == bits([-0.0, 1.5, -0.0])
+
+    def test_sparse_data_caches_sparse_rows(self, monkeypatch):
+        # 300 examples with 3 of 200 features each: a kernel row is nonzero
+        # only at the few examples that share a feature with its own.
+        rng = random.Random(5)
+        n = 300
+        vectors = [SparseVector(sorted(rng.sample(range(200), 3)), [1.0, -0.5, 2.0])
+                   for _ in range(n)]
+        labels = [1, -1] * (n // 2)
+        row = _KernelTable.row
+        stored = {}
+
+        def recorded_row(table, i):
+            out = row(table, i)
+            assert table.XT is None
+            stored[i] = sum(part.size for part in out if part is not None)
+            return out
+
+        monkeypatch.setattr(_KernelTable, "row", recorded_row)
+        train_smo(vectors, labels, TrainConfig(C=10.0))
+        assert len(stored) > 16
+        assert max(stored.values()) < n / 2  # a dense row holds n
+
+
 class TestKernelRowCache:
     @pytest.mark.parametrize("kernel", ("linear", "rbf"))
     def test_eviction_keeps_the_model(self, monkeypatch, kernel):
         vectors, labels = gaussian_dataset(8, n=200)
+        vectors[::7] = [vec()] * len(vectors[::7])  # rows with +0.0 entries
         config = kernel_config(kernel, 1e3)
         full = train_smo(vectors, labels, config)
         row = _KernelTable.row
@@ -320,10 +434,14 @@ class TestKernelRowCache:
 
         monkeypatch.setattr(svm, "_ROW_CACHE_FLOATS", 0)
         monkeypatch.setattr(_KernelTable, "row", recorded_row)
-        assert train_smo(vectors, labels, config) == full
-        assert {limit for _, limit in sizes} == {16}
-        assert all(size <= limit for size, limit in sizes)
-        assert len(rows) > 16  # more rows than the cache holds: some were evicted
+        for row_form in ROW_FORMS.values():
+            monkeypatch.setattr(svm, "_SPARSE_ROW_SHARE", row_form)
+            sizes.clear()
+            rows.clear()
+            assert train_smo(vectors, labels, config) == full
+            assert {limit for _, limit in sizes} == {16}
+            assert all(size <= limit for size, limit in sizes)
+            assert len(rows) > 16  # more rows than the cache holds: some were evicted
 
 
 class TestWeightVector:
@@ -381,6 +499,19 @@ class TestErrors:
     def test_bad_labels(self):
         with pytest.raises(SvmError, match="labels"):
             train_smo([vec(1.0), vec(2.0)], [1, 0], TrainConfig())
+
+    def test_labels_length_mismatch(self):
+        with pytest.raises(SvmError, match="vectors and labels length mismatch"):
+            train_smo([vec(1.0), vec(2.0)], [1, -1, 1], TrainConfig())
+
+    def test_doc_ids_length_mismatch(self):
+        with pytest.raises(SvmError, match="doc_ids and vectors length mismatch"):
+            train_smo([vec(1.0), vec(2.0)], [1, -1], TrainConfig(), doc_ids=["a"])
+
+    def test_mixed_feature_sets(self):
+        vectors = [vec(1.0, tag="fs-a"), vec(-1.0, tag="fs-b"), vec(0.5)]
+        with pytest.raises(SvmError, match="different feature sets"):
+            train_smo(vectors, [1, -1, 1], TrainConfig())
 
     def test_feature_tag_mismatch(self):
         vectors = [vec(1.0, tag="fs-a"), vec(-1.0, tag="fs-a")]

@@ -35,9 +35,10 @@ over, rotating which tree runs first. Per workload it prints every pair's
 `run_s`, each tree's median and quartiles, the user and sys CPU seconds of
 each child process (from `resource.getrusage(RUSAGE_CHILDREN)`, which also
 counts set-up and numpy's BLAS threads) and its `peak_rss_mb`, then NEW
-against OLD (A/B) and the copy against OLD (A/A): the pairs won and the
-median difference. The A/A line is the control: two identical trees differ
-by that much on the measuring host. Exit status 0, or 2 when a run fails.
+against OLD (A/B) and the copy against OLD (A/A): the pairs won, the
+median `run_s` difference and the median CPU and `peak_rss_mb` differences.
+The A/A line is the control: two identical trees differ by that much on the
+measuring host, in time and in memory. Exit status 0, or 2 when a run fails.
 """
 
 from __future__ import annotations
@@ -242,15 +243,18 @@ def timed_run(tree: Path, config: Path, out: Path) -> tuple[float, float, float,
 
 
 def _versus(label: str, pairs, base, other) -> str:
-    """Win count and median difference of `other` against `base` over pairs."""
+    """Win count and median `run_s` difference of `other` against `base`
+    over pairs, and the median CPU and `peak_rss_mb` differences."""
     diffs = [p[other][0] - p[base][0] for p in pairs]
     shares = [d / p[base][0] for d, p in zip(diffs, pairs)]
     cpu = [sum(p[other][1:3]) - sum(p[base][1:3]) for p in pairs]
+    rss = [p[other][3] - p[base][3] for p in pairs]
     wins = sum(d < 0 for d in diffs)
     return (f"{label}: {other} faster in {wins}/{len(pairs)} pairs; median "
             f"{other}-{base} {statistics.median(diffs):+.4f} s "
             f"({statistics.median(shares):+.1%}); median CPU difference "
-            f"{statistics.median(cpu):+.4f} s")
+            f"{statistics.median(cpu):+.4f} s; median peak_rss_mb difference "
+            f"{statistics.median(rss):+.2f} MB")
 
 
 def report_timing(workload: str, pairs) -> None:
