@@ -177,10 +177,7 @@ def dump_config(config: RunConfig) -> str:
         value = getattr(config, f.name)
         if value is None:
             continue
-        if isinstance(value, float):
-            text = repr(value)
-        else:
-            text = str(value)
+        text = str(value)
         if "#" in text or "\n" in text or "\r" in text or text != text.strip():
             raise CliError(f"{f.name} cannot be written to a config file: {text!r}")
         lines.append(f"{f.name} = {text}")
@@ -389,8 +386,14 @@ def _overrides_from_args(args) -> dict:
     return {key: getattr(args, key, None) for key in _TYPES}
 
 
+class _Text(argparse.Action):
+    # argparse drops a value of exactly `--`, even `--flag=--`, and passes [].
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, "--" if values == [] else values)
+
+
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="key = value configuration file")
+    parser.add_argument("--config", action=_Text, help="key = value configuration file")
     _add_key_flags(parser, _TYPES)
 
 
@@ -400,7 +403,7 @@ def _add_key_flags(parser: argparse.ArgumentParser, keys) -> None:
     for key in keys:
         choices = _CHOICES.get(key)
         metavar = "{" + ",".join(choices) + "}" if choices else None
-        parser.add_argument("--" + key.replace("_", "-"), metavar=metavar)
+        parser.add_argument("--" + key.replace("_", "-"), action=_Text, metavar=metavar)
 
 
 def _cmd_run(args) -> int:
@@ -455,13 +458,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     synth_parser = sub.add_parser("synth", help="emit a synthetic corpus")
     _add_key_flags(synth_parser, ("seed",))
-    synth_parser.add_argument("--out", required=True)
+    synth_parser.add_argument("--out", action=_Text, required=True)
     _add_key_flags(synth_parser, [k for k in _TYPES if k.startswith("synth_")])
     synth_parser.set_defaults(func=_cmd_synth)
 
     report_parser = sub.add_parser("report", help="re-render a saved session")
-    report_parser.add_argument("--session", required=True)
-    report_parser.add_argument("--out", required=True)
+    report_parser.add_argument("--session", action=_Text, required=True)
+    report_parser.add_argument("--out", action=_Text, required=True)
     report_parser.set_defaults(func=_cmd_report)
     return parser
 

@@ -102,7 +102,6 @@ class Document:
 @dataclass(frozen=True)
 class LabeledCorpus:
     documents: tuple[Document, ...]
-    skipped_files: int = 0
 
     def __post_init__(self):
         indices = [d.arrival_index for d in self.documents]
@@ -162,15 +161,6 @@ def _words(raw_text: str) -> list[str]:
     """The maximal runs of ASCII letters and digits of the lowercased text."""
     return (raw_text.lower().encode("ascii", "replace").translate(_SEPARATORS)
             .decode("ascii").split())
-
-
-def tokenize(raw_text: str) -> list[str]:
-    """Lowercase and split on runs of non-alphanumerics (ASCII).
-
-    Pure-digit tokens and tokens shorter than two characters are dropped.
-    Empty input yields an empty list.
-    """
-    return [t for t in _words(raw_text) if len(t) >= 2 and not t.isdigit()]
 
 
 # Bound on the fixed-point memo: above one large corpus's distinct stems, so
@@ -249,11 +239,11 @@ def preprocess_text(raw_text: str) -> list[str]:
     return list(filter(None, map(_terms.__getitem__, _words(raw_text))))
 
 
-def _read_documents(entries, skipped: int) -> LabeledCorpus:
+def _read_documents(entries) -> LabeledCorpus:
     """Read and preprocess `(id, label, path)` entries, given in arrival order.
 
-    Unreadable files are skipped with a warning and counted on top of
-    `skipped`; arrival_index is the rank among the files kept.
+    Unreadable files are skipped with a warning; arrival_index is the rank
+    among the files kept.
     """
     docs = []
     for doc_id, label, path in entries:
@@ -261,10 +251,9 @@ def _read_documents(entries, skipped: int) -> LabeledCorpus:
             text = path.read_text(encoding="utf-8", errors="replace")
         except OSError as exc:
             logger.warning("skipping unreadable file %s: %s", path, exc)
-            skipped += 1
             continue
         docs.append(Document(doc_id, label, tuple(preprocess_text(text)), len(docs)))
-    return LabeledCorpus(tuple(docs), skipped)
+    return LabeledCorpus(tuple(docs))
 
 
 def load_enron(dir_path) -> LabeledCorpus:
@@ -272,13 +261,12 @@ def load_enron(dir_path) -> LabeledCorpus:
 
     Labels come from the subdirectory; arrival order from the merged filename
     sort (Enron filenames sort chronologically). Unreadable files, and files
-    in a directory nested in `spam/` or `ham/`, are skipped with a warning
-    and counted in `skipped_files`.
+    in a directory nested in `spam/` or `ham/`, are skipped with a warning.
     """
     root = Path(dir_path)
     if not root.is_dir():
         raise CorpusError(f"dataset directory not found: {root}")
-    entries, skipped = [], 0
+    entries = []
     for subdir, label in (("spam", Label.SPAM), ("ham", Label.LEGITIMATE)):
         sub = root / subdir
         if not sub.is_dir():
@@ -291,9 +279,8 @@ def load_enron(dir_path) -> LabeledCorpus:
                 for nested in sorted(path.rglob("*")):
                     if nested.is_file():
                         logger.warning("skipping file in a nested directory: %s", nested)
-                        skipped += 1
     entries.sort(key=lambda e: (e[2].name, e[2].parent.name))
-    return _read_documents(entries, skipped)
+    return _read_documents(entries)
 
 
 def load_pu(dir_path) -> LabeledCorpus:
@@ -312,11 +299,10 @@ def load_pu(dir_path) -> LabeledCorpus:
     folds = sorted(p for p in root.iterdir() if p.is_dir())
     if not folds:
         folds = [root]
-    entries, skipped = [], 0
+    entries = []
     for path in sorted(root.rglob("*")):
         if path.parent not in folds and path.is_file():
             logger.warning("skipping file outside a fold: %s", path)
-            skipped += 1
     for fold in folds:
         for path in sorted(fold.iterdir()):
             if not path.is_file():
@@ -327,11 +313,10 @@ def load_pu(dir_path) -> LabeledCorpus:
                 label = Label.LEGITIMATE
             else:
                 logger.warning("skipping file with unrecognized name: %s", path)
-                skipped += 1
                 continue
             doc_id = path.name if fold == root else f"{fold.name}/{path.name}"
             entries.append((doc_id, label, path))
-    return _read_documents(entries, skipped)
+    return _read_documents(entries)
 
 
 def load_ecml(file_path) -> LabeledCorpus:

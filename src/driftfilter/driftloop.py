@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass, field, fields
 from enum import Enum
 
@@ -287,6 +288,16 @@ class SessionReport:
                     raise DriftLoopError(
                         f"session {key} must be one of {known}, got {payload[key]!r}"
                     )
+            # `report` renders the ROC from these, so they must be checked first.
+            scores, truths = payload["scores"], payload["truths"]
+            if len(scores) != len(truths):
+                raise DriftLoopError(f"session has {len(scores)} scores, {len(truths)} truths")
+            for score in scores:
+                if type(score) not in (int, float) or not math.isfinite(score):
+                    raise DriftLoopError(f"session score must be finite, got {score!r}")
+            for truth in truths:
+                if type(truth) is not int or truth not in (1, -1):
+                    raise DriftLoopError(f"session truth must be 1 or -1, got {truth!r}")
             return cls(**{
                 **payload,
                 "batches": tuple(BatchRecord(**b) for b in payload["batches"]),

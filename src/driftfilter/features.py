@@ -51,7 +51,7 @@ class ScoredFeature:
 
 @dataclass(frozen=True)
 class FeatureSet:
-    """Ordered selected features with term -> position and id -> position lookups.
+    """Ordered selected features with an id -> position lookup.
 
     `lookup[i]` is the position of the term with `TERMS` id `i`, or
     -1; the set's own terms are interned first, so an id at or beyond
@@ -59,21 +59,18 @@ class FeatureSet:
     """
 
     features: tuple[ScoredFeature, ...]
-    index: dict[str, int] = field(init=False, repr=False, compare=False)
     tag: str = field(init=False, repr=False, compare=False)
     lookup: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         terms = [sf.term for sf in self.features]
-        index = {term: i for i, term in enumerate(terms)}
-        if len(index) != len(self.features):
+        if len(set(terms)) != len(terms):
             raise FeatureError("duplicate terms in feature set")
         digest = hashlib.sha1("\n".join(terms).encode("utf-8")).hexdigest()
         ids = TERMS.intern(terms)
         lookup = np.full(int(ids.max()) + 1 if len(ids) else 0, -1, dtype=np.intp)
         lookup[ids] = np.arange(len(ids))
         lookup.flags.writeable = False
-        object.__setattr__(self, "index", index)
         object.__setattr__(self, "tag", digest)
         object.__setattr__(self, "lookup", lookup)
 
@@ -373,7 +370,8 @@ def update_feature_set(
         ScoredFeature(sf.term, refreshed_weight(sf.term)) for sf in fs_prev.features
     ]
     candidates = select_top_n(counts, len(fs_prev))
-    newcomers = [sf for sf in candidates.features if sf.term not in fs_prev.index]
+    incumbent_terms = {sf.term for sf in fs_prev.features}
+    newcomers = [sf for sf in candidates.features if sf.term not in incumbent_terms]
     rank = {
         sf.term: selection_rank_weight(counts.counts[sf.term], ns, nl)
         for sf in newcomers

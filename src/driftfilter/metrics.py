@@ -6,6 +6,7 @@ fp counts legitimate mail classified as spam (the costlier error).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -151,6 +152,8 @@ def roc_points(scores, truths) -> list[tuple[float, float]]:
         raise MetricsError(
             f"length mismatch: {len(scores)} scores, {len(truths)} truths"
         )
+    if any(math.isnan(s) for s in scores):
+        raise MetricsError("ROC scores must not be NaN")
     n_pos = sum(1 for t in truths if t == 1)
     n_neg = len(truths) - n_pos
     if n_pos == 0 or n_neg == 0:
@@ -158,15 +161,12 @@ def roc_points(scores, truths) -> list[tuple[float, float]]:
     order = sorted(range(len(scores)), key=lambda i: -scores[i])
     points = [(0.0, 0.0)]
     tp = fp = 0
-    i = 0
-    while i < len(order):
-        threshold = scores[order[i]]
-        while i < len(order) and scores[order[i]] == threshold:
-            if truths[order[i]] == 1:
+    for _, tied in itertools.groupby(order, key=scores.__getitem__):
+        for i in tied:
+            if truths[i] == 1:
                 tp += 1
             else:
                 fp += 1
-            i += 1
         points.append((fp / n_neg, tp / n_pos))
     return _drop_collinear(points)
 

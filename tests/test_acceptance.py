@@ -155,11 +155,11 @@ def _replay_incremental(partition, config):
             sv_count = len(state.sv_documents)
             mcm_size = len(misclassified)
             rtrem = build_retraining_set(state, misclassified, batch)
-            terms_before = set(state.feature_set.index)
+            terms_before = {sf.term for sf in state.feature_set.features}
             dim_before = len(state.feature_set)
             state, _, _ = incremental_retrain(state, misclassified, decision, batch, config)
             misclassified, history = [], []
-            terms_after = set(state.feature_set.index)
+            terms_after = {sf.term for sf in state.feature_set.features}
             events.append({
                 "batch_index": k,
                 "sv_count_before": sv_count,

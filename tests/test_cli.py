@@ -6,7 +6,7 @@ from dataclasses import fields
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from driftfilter import cli, driftloop, features
@@ -186,6 +186,8 @@ class TestConfigSchema:
 
     @settings(deadline=None)
     @given(_CONFIGS)
+    # argparse drops a value of exactly `--`, even in `--dataset=--`.
+    @example(RunConfig(format="ecml", dataset="--", test_path="--"))
     def test_flags_give_the_same_config(self, config):
         config = _valid(config)
         args = cli.build_parser().parse_args(["run"] + _as_flags(config))
@@ -497,6 +499,28 @@ class TestCliCommands:
             ("mixed.dat", b"1 10:1\n-1 20:1\n"),
         ):
             (inputs / name).write_bytes(data)
+        # Sessions whose scores and truths cannot make a ROC, edited from a real one.
+        assert cli.main([
+            "run", "--format", "synth", "--synth-vocab", "120",
+            "--synth-docs-per-phase", "80", "--n", "40", "--n-batches", "3",
+            "--output-dir", str(inputs / "run"),
+        ]) == 0
+        capsys.readouterr()
+        payload = json.loads(
+            (inputs / "run" / "synth_tfdcr_batch.session.json").read_text(encoding="utf-8")
+        )
+        scores, truths = payload["scores"], payload["truths"]
+        for name, edited in (
+            ("text_score", {"scores": ["x"] + scores[1:]}),
+            ("bool_score", {"scores": [True] + scores[1:]}),
+            ("nan_score", {"scores": [math.nan] + scores[1:]}),
+            ("short_scores", {"scores": scores[:-1]}),
+            ("truth_two", {"truths": [2] + truths[1:]}),
+            ("bool_truth", {"truths": [True] + truths[1:]}),
+        ):
+            (inputs / f"{name}.session.json").write_text(
+                json.dumps({**payload, **edited}), encoding="utf-8"
+            )
         monkeypatch.chdir(tmp_path)
         for argv, named in (
             (["run", "--format", "enron", "--dataset", "/nonexistent"], "/nonexistent"),
@@ -533,6 +557,19 @@ class TestCliCommands:
              f"{inputs / 'latin1.manifest'}: not UTF-8 text"),
             (["report", "--session", str(inputs / "latin1.session.json"), "--out", "out"],
              f"{inputs / 'latin1.session.json'}: not UTF-8 text"),
+            # A session is checked before any result file is written.
+            (["report", "--session", str(inputs / "text_score.session.json"), "--out", "out"],
+             "session score must be finite, got 'x'"),
+            (["report", "--session", str(inputs / "bool_score.session.json"), "--out", "out"],
+             "session score must be finite, got True"),
+            (["report", "--session", str(inputs / "nan_score.session.json"), "--out", "out"],
+             "session score must be finite, got nan"),
+            (["report", "--session", str(inputs / "short_scores.session.json"), "--out", "out"],
+             f"session has {len(scores) - 1} scores, {len(truths)} truths"),
+            (["report", "--session", str(inputs / "truth_two.session.json"), "--out", "out"],
+             "session truth must be 1 or -1, got 2"),
+            (["report", "--session", str(inputs / "bool_truth.session.json"), "--out", "out"],
+             "session truth must be 1 or -1, got True"),
             # Range checks of RunConfig.validate; `config dump` reads no data.
             (["config", "dump", "--train-fraction", "1.5"], "train_fraction must be"),
             (["config", "dump", "--n-batches", "0"], "n_batches must be"),

@@ -233,7 +233,8 @@ class TestIncrementalRetrain:
         )
         assert new_state.generation == state.generation + 1
         assert len(new_state.feature_set) == len(state.feature_set)
-        added = set(new_state.feature_set.index) - set(state.feature_set.index)
+        added = ({sf.term for sf in new_state.feature_set.features}
+                 - {sf.term for sf in state.feature_set.features})
         assert replaced == len(added)
 
     def test_post_retrain_improves_violating_batch(self):
@@ -438,6 +439,33 @@ class TestRunSession:
         assert reports[0].partition_checksum != reports[1].partition_checksum
         same = [replace(r, partition_checksum="").to_json() for r in reports]
         assert same[0] == same[1]
+
+    @pytest.mark.parametrize("seed", [3, 11])
+    @pytest.mark.parametrize("kernel, gamma", [("linear", None), ("rbf", 0.5)])
+    def test_doubling_every_token_list_keeps_the_report(self, seed, kernel, gamma):
+        # A metamorphic relation (Chen, Cheung & Yiu 1998): doubling a
+        # document's counts is exact in binary and cancels in its
+        # L2-normalized vector, doubles every TFDCR weight exactly, and
+        # leaves the selection rank weights alone. Only the checksum, which
+        # digests the tokens, may differ.
+        stream = synth_drift(seed, vocab_size=200, docs_per_phase=300)
+        doubled = LabeledCorpus(tuple(
+            replace(d, tokens=d.tokens * 2) for d in stream.documents
+        ))
+        config = DriftConfig(
+            rho=0.9, feature_dim=60,
+            train_config=svm.TrainConfig(C=1.0, kernel=kernel, gamma=gamma),
+        )
+        for mode in (SessionMode.BATCH, SessionMode.INCREMENTAL):
+            reports = [
+                run_session(partition_stream(s, 1 / 3, 6), config, mode)
+                for s in (stream, doubled)
+            ]
+            if mode is SessionMode.INCREMENTAL:
+                assert reports[0].events
+            assert reports[0].partition_checksum != reports[1].partition_checksum
+            same = [replace(r, partition_checksum="").to_json() for r in reports]
+            assert same[0] == same[1]
 
     def test_report_round_trip(self):
         stream = synth_drift(4, vocab_size=120, docs_per_phase=100, overlap=0.2)

@@ -49,7 +49,7 @@ def _counter_counts(corpus_):
 
 def _counter_vectorize(doc, fs):
     """vectorize by Counter over the token strings (the reference)."""
-    index = fs.index
+    index = {sf.term: i for i, sf in enumerate(fs.features)}
     counts = Counter(map(index.get, filter(index.__contains__, doc.tokens)))
     norm = math.sqrt(sum(c * c for c in counts.values()))
     positions = sorted(counts)
@@ -403,6 +403,10 @@ class TestSparseVector:
         assert (SparseVector([0], [1.0]) == 1) is False
 
 
+def _terms(fs):
+    return {sf.term for sf in fs.features}
+
+
 class TestUpdateFeatureSet:
     def _fs_from(self, corpus_, n):
         return select_top_n(count_stats(corpus_), n)
@@ -419,10 +423,10 @@ class TestUpdateFeatureSet:
             ("legit", ["oldl1", "oldl2"]),
         ])
         # all six terms weigh 2, so the term order makes both newcomers candidates
-        assert {"new1", "new2"} <= set(select_top_n(count_stats(retrain), 4).index)
+        assert {"new1", "new2"} <= _terms(select_top_n(count_stats(retrain), 4))
         fs_new, replaced = update_feature_set(fs, retrain)
         assert replaced == 0
-        assert set(fs_new.index) == set(fs.index)
+        assert _terms(fs_new) == _terms(fs)
 
     def test_hand_trace(self):
         # newcomer rank weights 0.75 and 0.125; mean 0.4375 admits only the
@@ -433,7 +437,7 @@ class TestUpdateFeatureSet:
             ("legit", ["oldl1", "oldl1", "oldl2", "oldl3"]),
         ])
         fs = self._fs_from(old, 6)
-        assert set(fs.index) == set(incumbent_terms)
+        assert _terms(fs) == set(incumbent_terms)
         retrain = make_corpus([
             ("spam", ["new1", "new1", "new1", "new2", "new2", "new2", "olds1"]),
             ("spam", ["new1", "new1", "new2", "new2", "new2", "olds2"]),
@@ -449,17 +453,17 @@ class TestUpdateFeatureSet:
         assert selection_rank_weight(stats.counts["new2"], 4, 4) == 0.125
         # both newcomers are among the top len(fs) = 6 of the 8 terms
         candidates = select_top_n(stats, len(fs))
-        assert {"new1", "new2"} <= set(candidates.index)
+        assert {"new1", "new2"} <= _terms(candidates)
         fs_new, replaced = update_feature_set(fs, retrain)
         assert replaced == 1
-        assert "new1" in fs_new.index
-        assert "new2" not in fs_new.index
+        assert "new1" in _terms(fs_new)
+        assert "new2" not in _terms(fs_new)
         assert len(fs_new) == len(fs)
         # the evicted incumbent is the one with the lowest refreshed weight
         incumbents = {
             term: tfdcr_weight(stats.counts[term], 4, 4) for term in incumbent_terms
         }
-        evicted = set(fs.index) - set(fs_new.index)
+        evicted = _terms(fs) - _terms(fs_new)
         assert evicted == {min(incumbents, key=lambda t: (incumbents[t], t))}
 
     def test_dimension_preserved_no_duplicates(self):
@@ -476,7 +480,7 @@ class TestUpdateFeatureSet:
             assert len(fs_new) == len(fs)
             terms = [sf.term for sf in fs_new.features]
             assert len(terms) == len(set(terms))
-            assert replaced == len(set(terms) - set(fs.index))
+            assert replaced == len(set(terms) - _terms(fs))
 
     def test_empty_dnfs_refreshes_weights(self):
         old = make_corpus([
@@ -488,7 +492,7 @@ class TestUpdateFeatureSet:
         ])
         fs_new, replaced = update_feature_set(fs, retrain)
         assert replaced == 0
-        assert set(fs_new.index) == set(fs.index)
+        assert _terms(fs_new) == _terms(fs)
         stats = count_stats(retrain)
         for sf in fs_new.features:
             assert sf.weight == tfdcr_weight(stats.counts[sf.term], 2, 2)

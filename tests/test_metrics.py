@@ -175,6 +175,11 @@ class TestRoc:
         with pytest.raises(MetricsError):
             roc_points([1.0, 2.0], [1, 1])
 
+    def test_nan_score_error(self):
+        # A NaN equals no threshold, so the sweep would never pass it.
+        with pytest.raises(MetricsError, match="NaN"):
+            roc_points([1.0, math.nan, -1.0], [1, -1, -1])
+
     def test_length_mismatch_error(self):
         with pytest.raises(MetricsError, match="2 scores, 3 truths"):
             roc_points([1.0, 2.0], [1, -1, 1])
