@@ -8,6 +8,7 @@ selectors (ig, chi, gini, igr, cfs) are provided for comparison runs.
 from __future__ import annotations
 
 import hashlib
+import heapq
 import logging
 import math
 from dataclasses import dataclass, field
@@ -44,30 +45,23 @@ class CorpusCounts:
 
 
 @dataclass(frozen=True)
-class ScoredFeature:
-    term: str
-    weight: float  # discriminative weight (or baseline score)
-
-
-@dataclass(frozen=True)
 class FeatureSet:
-    """Ordered selected features with an id -> position lookup.
+    """Selected terms in feature-position order, with an id -> position lookup.
 
     `lookup[i]` is the position of the term with `TERMS` id `i`, or
     -1; the set's own terms are interned first, so an id at or beyond
     `len(lookup)` is not in the set.
     """
 
-    features: tuple[ScoredFeature, ...]
+    terms: tuple[str, ...]
     tag: str = field(init=False, repr=False, compare=False)
     lookup: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        terms = [sf.term for sf in self.features]
-        if len(set(terms)) != len(terms):
+        if len(set(self.terms)) != len(self.terms):
             raise FeatureError("duplicate terms in feature set")
-        digest = hashlib.sha1("\n".join(terms).encode("utf-8")).hexdigest()
-        ids = TERMS.intern(terms)
+        digest = hashlib.sha1("\n".join(self.terms).encode("utf-8")).hexdigest()
+        ids = TERMS.intern(self.terms)
         lookup = np.full(int(ids.max()) + 1 if len(ids) else 0, -1, dtype=np.intp)
         lookup[ids] = np.arange(len(ids))
         lookup.flags.writeable = False
@@ -75,7 +69,7 @@ class FeatureSet:
         object.__setattr__(self, "lookup", lookup)
 
     def __len__(self) -> int:
-        return len(self.features)
+        return len(self.terms)
 
 
 def _check_entries(keys: np.ndarray, weights: np.ndarray) -> None:
@@ -153,8 +147,10 @@ def count_stats(corpus: LabeledCorpus) -> CorpusCounts:
     columns = []
     for rows, ids in classes:
         columns.append(np.bincount(ids, minlength=width))
-        # df counts each distinct (document, id) key once.
-        distinct = np.unique(rows * width + ids)
+        # df counts each distinct (document, id) key once; a sort finds them
+        # faster than numpy 2's hashing `np.unique` does.
+        keys = np.sort(rows * width + ids)
+        distinct = np.concatenate((keys[:1], keys[1:][keys[1:] != keys[:-1]]))
         columns.append(np.bincount(distinct % width, minlength=width))
     tf_spam, df_spam, tf_legit, df_legit = columns
     present = np.flatnonzero(tf_spam + tf_legit)
@@ -199,14 +195,15 @@ def selection_rank_weight(fc: FeatureCounts, n_spam: int, n_legit: int) -> float
     return ratio_diff * abs(fc.tf_spam - fc.tf_legit) / tf_total
 
 
-def _build_feature_set(scored, n: int) -> FeatureSet:
-    ordered = sorted(scored, key=lambda sf: (-sf.weight, sf.term))
-    if len(ordered) < n:
+def _top_n(weights: dict[str, float], n: int) -> FeatureSet:
+    """The n terms of highest weight, ties broken by term."""
+    if len(weights) < n:
         logger.info(
             "vocabulary %d smaller than requested dimensionality %d",
-            len(ordered), n,
+            len(weights), n,
         )
-    return FeatureSet(tuple(ordered[:n]))
+    ranked = heapq.nsmallest(n, weights, key=lambda t: (-weights[t], t))
+    return FeatureSet(tuple(ranked))
 
 
 def select_top_n(counts: CorpusCounts, n: int) -> FeatureSet:
@@ -230,8 +227,7 @@ def select_top_n_scored(scores: dict[str, float], n: int) -> FeatureSet:
     """
     if n < 1:
         raise FeatureError(f"n must be >= 1, got {n}")
-    scored = [ScoredFeature(term, score) for term, score in scores.items()]
-    return _build_feature_set(scored, n)
+    return _top_n(scores, n)
 
 
 def _entropy(probabilities) -> float:
@@ -316,7 +312,7 @@ def vectorize_all(docs, fs: FeatureSet) -> list[SparseVector]:
     divided by its document's norm, the square root of an exactly summed
     integer. Documents containing no selected feature yield the empty vector.
     """
-    if not fs.features:
+    if not fs.terms:
         raise FeatureError("cannot vectorize against an empty feature set")
     docs = list(docs)
     rows, ids = _token_ids(docs)
@@ -353,33 +349,27 @@ def update_feature_set(
     retraining corpus; of the candidates not already present, those whose
     selection rank weight strictly exceeds the mean over these newcomers
     are added, and an equal number of incumbents with the lowest
-    (recomputed) discriminative weight is removed. Dimensionality is
-    preserved exactly; all weights in the result are on the
-    retraining-corpus scale.
+    discriminative weight on the retraining counts is removed.
+    Dimensionality is preserved exactly, and the result is ordered by
+    TFDCR weight on the retraining counts, ties broken by term.
     """
     counts = count_stats(retrain_corpus)
     ns, nl = counts.n_spam, counts.n_legit
 
-    def refreshed_weight(term: str) -> float:
+    def weight(term: str) -> float:
         fc = counts.counts.get(term)
         # Terms absent from the retraining corpus carry no discriminating
-        # evidence there; their refreshed weight is zero.
+        # evidence there; their weight is zero.
         return tfdcr_weight(fc, ns, nl) if fc is not None else 0.0
 
-    incumbents = [
-        ScoredFeature(sf.term, refreshed_weight(sf.term)) for sf in fs_prev.features
-    ]
     candidates = select_top_n(counts, len(fs_prev))
-    incumbent_terms = {sf.term for sf in fs_prev.features}
-    newcomers = [sf for sf in candidates.features if sf.term not in incumbent_terms]
-    rank = {
-        sf.term: selection_rank_weight(counts.counts[sf.term], ns, nl)
-        for sf in newcomers
-    }
+    incumbents = set(fs_prev.terms)
+    newcomers = [t for t in candidates.terms if t not in incumbents]
+    rank = {t: selection_rank_weight(counts.counts[t], ns, nl) for t in newcomers}
     mean_rank = sum(rank.values()) / len(rank) if rank else 0.0
-    additions = [sf for sf in newcomers if rank[sf.term] > mean_rank]
+    additions = [t for t in newcomers if rank[t] > mean_rank]
     # There are no more candidates than incumbents, so every addition fits.
     replaced = len(additions)
-    survivors = sorted(incumbents, key=lambda sf: (sf.weight, sf.term))[replaced:]
-    merged = survivors + additions
-    return _build_feature_set(merged, len(merged)), replaced
+    survivors = sorted(fs_prev.terms, key=lambda t: (weight(t), t))[replaced:]
+    merged = {t: weight(t) for t in survivors + additions}
+    return _top_n(merged, len(merged)), replaced

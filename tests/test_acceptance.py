@@ -49,9 +49,10 @@ def test_criterion_1_tfdcr_oracle_equivalence():
             assert abs(features.tfdcr_weight(fc, n_s, n_l) - expected) <= 1e-12
         fs = features.select_top_n(stats, 50)
         oracle_top = oracles.naive_top_n(pairs, 50)
-        assert [sf.term for sf in fs.features] == [t for t, _ in oracle_top]
-        for sf, (_, weight) in zip(fs.features, oracle_top):
-            assert abs(sf.weight - weight) <= 1e-12
+        assert list(fs.terms) == [t for t, _ in oracle_top]
+        for term, (_, weight) in zip(fs.terms, oracle_top):
+            got = features.tfdcr_weight(stats.counts[term], n_s, n_l)
+            assert abs(got - weight) <= 1e-12
     elapsed = time.monotonic() - started
     assert elapsed < 5.0, f"criterion 1 took {elapsed:.2f}s"
     print(f"\nPASS criterion 1: TFDCR oracle equivalence on 100 corpora "
@@ -155,11 +156,11 @@ def _replay_incremental(partition, config):
             sv_count = len(state.sv_documents)
             mcm_size = len(misclassified)
             rtrem = build_retraining_set(state, misclassified, batch)
-            terms_before = {sf.term for sf in state.feature_set.features}
+            terms_before = set(state.feature_set.terms)
             dim_before = len(state.feature_set)
             state, _, _ = incremental_retrain(state, misclassified, decision, batch, config)
             misclassified, history = [], []
-            terms_after = {sf.term for sf in state.feature_set.features}
+            terms_after = set(state.feature_set.terms)
             events.append({
                 "batch_index": k,
                 "sv_count_before": sv_count,

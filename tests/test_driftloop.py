@@ -233,8 +233,7 @@ class TestIncrementalRetrain:
         )
         assert new_state.generation == state.generation + 1
         assert len(new_state.feature_set) == len(state.feature_set)
-        added = ({sf.term for sf in new_state.feature_set.features}
-                 - {sf.term for sf in state.feature_set.features})
+        added = set(new_state.feature_set.terms) - set(state.feature_set.terms)
         assert replaced == len(added)
 
     def test_post_retrain_improves_violating_batch(self):
@@ -383,7 +382,7 @@ class TestRunSession:
                 )
                 misclassified, history = [], []
                 assert len(state.feature_set) == dim0
-                terms = [sf.term for sf in state.feature_set.features]
+                terms = list(state.feature_set.terms)
                 assert len(terms) == len(set(terms))
 
     def test_determinism(self):
@@ -440,18 +439,26 @@ class TestRunSession:
         same = [replace(r, partition_checksum="").to_json() for r in reports]
         assert same[0] == same[1]
 
+    # Metamorphic relations (Chen, Cheung & Yiu 1998): each transform of
+    # every document leaves the session report alone but for the checksum,
+    # which digests ids and tokens.
+    @pytest.mark.parametrize("transform", [
+        # Doubling a document's counts is exact in binary and cancels in its
+        # L2-normalized vector, doubles every TFDCR weight exactly, and
+        # leaves the selection rank weights alone.
+        lambda d: replace(d, tokens=d.tokens * 2),
+        # An order-preserving rename of every term: the (-weight, term)
+        # tie-break orders the renamed terms as it did the originals.
+        lambda d: replace(d, tokens=tuple("q" + t for t in d.tokens)),
+        # A one-to-one rename of every document id, not order-preserving:
+        # ids only name documents.
+        lambda d: replace(d, id=d.id[::-1] + "~"),
+    ], ids=["double_tokens", "prefix_terms", "rename_ids"])
     @pytest.mark.parametrize("seed", [3, 11])
     @pytest.mark.parametrize("kernel, gamma", [("linear", None), ("rbf", 0.5)])
-    def test_doubling_every_token_list_keeps_the_report(self, seed, kernel, gamma):
-        # A metamorphic relation (Chen, Cheung & Yiu 1998): doubling a
-        # document's counts is exact in binary and cancels in its
-        # L2-normalized vector, doubles every TFDCR weight exactly, and
-        # leaves the selection rank weights alone. Only the checksum, which
-        # digests the tokens, may differ.
+    def test_transform_keeps_the_report(self, transform, seed, kernel, gamma):
         stream = synth_drift(seed, vocab_size=200, docs_per_phase=300)
-        doubled = LabeledCorpus(tuple(
-            replace(d, tokens=d.tokens * 2) for d in stream.documents
-        ))
+        transformed = LabeledCorpus(tuple(map(transform, stream.documents)))
         config = DriftConfig(
             rho=0.9, feature_dim=60,
             train_config=svm.TrainConfig(C=1.0, kernel=kernel, gamma=gamma),
@@ -459,7 +466,7 @@ class TestRunSession:
         for mode in (SessionMode.BATCH, SessionMode.INCREMENTAL):
             reports = [
                 run_session(partition_stream(s, 1 / 3, 6), config, mode)
-                for s in (stream, doubled)
+                for s in (stream, transformed)
             ]
             if mode is SessionMode.INCREMENTAL:
                 assert reports[0].events

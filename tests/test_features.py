@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from driftfilter import features
 from driftfilter.corpus import Label, LabeledCorpus
 from driftfilter.features import (
-    CorpusCounts, FeatureCounts, FeatureError, FeatureSet, ScoredFeature,
-    SparseVector, baseline_score, count_stats, select_top_n, select_top_n_scored,
+    CorpusCounts, FeatureCounts, FeatureError, FeatureSet, SparseVector,
+    baseline_score, count_stats, select_top_n, select_top_n_scored,
     selection_rank_weight, tfdcr_weight, update_feature_set, vectorize,
     vectorize_all,
 )
@@ -49,7 +49,7 @@ def _counter_counts(corpus_):
 
 def _counter_vectorize(doc, fs):
     """vectorize by Counter over the token strings (the reference)."""
-    index = {sf.term: i for i, sf in enumerate(fs.features)}
+    index = {t: i for i, t in enumerate(fs.terms)}
     counts = Counter(map(index.get, filter(index.__contains__, doc.tokens)))
     norm = math.sqrt(sum(c * c for c in counts.values()))
     positions = sorted(counts)
@@ -170,8 +170,8 @@ class TestSelectTopN:
             n_spam=2, n_legit=2,
         )
         fs = select_top_n(counts, 3)
-        assert [sf.term for sf in fs.features] == ["aa", "bb", "cc"]
-        assert fs.features[2].weight == 0.0
+        assert fs.terms == ("aa", "bb", "cc")
+        assert tfdcr_weight(counts.counts["cc"], 2, 2) == 0.0
 
     def test_single_top(self):
         counts = CorpusCounts(
@@ -182,7 +182,7 @@ class TestSelectTopN:
             n_spam=2, n_legit=2,
         )
         fs = select_top_n(counts, 1)
-        assert [sf.term for sf in fs.features] == ["aa"]
+        assert fs.terms == ("aa",)
 
     def test_vocabulary_smaller_than_n(self):
         counts = CorpusCounts(
@@ -195,11 +195,13 @@ class TestSelectTopN:
         rng = random.Random(123)
         for _ in range(20):
             c = random_corpus(rng, max_docs=40, max_terms=200)
-            fs = select_top_n(count_stats(c), 50)
+            stats = count_stats(c)
+            fs = select_top_n(stats, 50)
             expected = oracles.naive_top_n(_as_pairs(c), 50)
-            assert [sf.term for sf in fs.features] == [t for t, _ in expected]
-            for sf, (_, weight) in zip(fs.features, expected):
-                assert abs(sf.weight - weight) <= 1e-12
+            assert list(fs.terms) == [t for t, _ in expected]
+            for term, (_, weight) in zip(fs.terms, expected):
+                got = tfdcr_weight(stats.counts[term], stats.n_spam, stats.n_legit)
+                assert abs(got - weight) <= 1e-12
 
     def test_duplication_ranking_invariance(self):
         # every term occurs in both classes, so no smoothing is involved and
@@ -214,14 +216,15 @@ class TestSelectTopN:
         for k in (2, 3):
             single = make_corpus(base)
             repeated = make_corpus(base * k)
-            fs1 = select_top_n(count_stats(single), 4)
-            fsk = select_top_n(count_stats(repeated), 4)
-            assert [sf.term for sf in fs1.features] == [
-                sf.term for sf in fsk.features
-            ]
-            for sf1, sfk in zip(fs1.features, fsk.features):
-                if sf1.weight:
-                    assert abs(sfk.weight / sf1.weight - k) <= 1e-12
+            stats1, statsk = count_stats(single), count_stats(repeated)
+            fs1 = select_top_n(stats1, 4)
+            fsk = select_top_n(statsk, 4)
+            assert fs1.terms == fsk.terms
+            for term in fs1.terms:
+                w1 = tfdcr_weight(stats1.counts[term], stats1.n_spam, stats1.n_legit)
+                wk = tfdcr_weight(statsk.counts[term], statsk.n_spam, statsk.n_legit)
+                if w1:
+                    assert abs(wk / w1 - k) <= 1e-12
 
 
 class TestSelectionRankWeight:
@@ -295,7 +298,7 @@ class TestBaselines:
 
 class TestVectorize:
     def _fs(self, *terms):
-        return FeatureSet(tuple(ScoredFeature(t, 1.0) for t in terms))
+        return FeatureSet(terms)
 
     def test_weights(self):
         fs = self._fs("a", "b")
@@ -349,9 +352,7 @@ class TestVectorize:
     def test_loaded_set_with_unseen_terms(self):
         # The set's terms are interned by the set itself, not by any document.
         unseen = _fresh(4)
-        fs = FeatureSet(tuple(
-            ScoredFeature(t, w) for t, w in zip(unseen + ["a"], (5.0, 4.0, 3.0, 2.0, 1.0))
-        ))
+        fs = FeatureSet((*unseen, "a"))
         docs = [
             make_doc(0, "spam", [unseen[2], "a", unseen[2], "zz"]),
             make_doc(1, "legit", [unseen[0]] + _fresh(2)),
@@ -404,7 +405,7 @@ class TestSparseVector:
 
 
 def _terms(fs):
-    return {sf.term for sf in fs.features}
+    return set(fs.terms)
 
 
 class TestUpdateFeatureSet:
@@ -478,7 +479,7 @@ class TestUpdateFeatureSet:
                 continue
             fs_new, replaced = update_feature_set(fs, retrain)
             assert len(fs_new) == len(fs)
-            terms = [sf.term for sf in fs_new.features]
+            terms = fs_new.terms
             assert len(terms) == len(set(terms))
             assert replaced == len(set(terms) - _terms(fs))
 
@@ -493,21 +494,24 @@ class TestUpdateFeatureSet:
         fs_new, replaced = update_feature_set(fs, retrain)
         assert replaced == 0
         assert _terms(fs_new) == _terms(fs)
+        # ordered by the refreshed weights: aa and dd 4, bb and cc 2
         stats = count_stats(retrain)
-        for sf in fs_new.features:
-            assert sf.weight == tfdcr_weight(stats.counts[sf.term], 2, 2)
+        assert fs_new.terms == ("aa", "dd", "bb", "cc")
+        assert list(fs_new.terms) == sorted(
+            fs.terms, key=lambda t: (-tfdcr_weight(stats.counts[t], 2, 2), t)
+        )
 
 
 class TestFeatureSet:
     def test_duplicate_terms_rejected(self):
         with pytest.raises(FeatureError, match="duplicate"):
-            FeatureSet((ScoredFeature("a", 1.0), ScoredFeature("a", 2.0)))
+            FeatureSet(("a", "a"))
 
 
 class TestSelectTopNScored:
     def test_orders_by_score(self):
         fs = select_top_n_scored({"a": 0.5, "b": 2.0, "c": 1.0}, 2)
-        assert [sf.term for sf in fs.features] == ["b", "c"]
+        assert fs.terms == ("b", "c")
 
     def test_n_at_least_one(self):
         with pytest.raises(FeatureError, match="n must be >= 1, got 0"):

@@ -20,6 +20,7 @@ incomplete.
 
 from __future__ import annotations
 
+import argparse
 import logging
 import os
 import sys
@@ -100,7 +101,10 @@ def run_workloads(out: Path) -> list[str]:
     return failed
 
 
-def main() -> int:
+def main(argv=None) -> int:
+    argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter,
+    ).parse_args(argv)
     sys.path.insert(0, str(ROOT / "src"))
     os.chdir(ROOT)
     trace = LineTrace(PACKAGE)
