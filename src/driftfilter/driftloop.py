@@ -2,9 +2,11 @@
 
 Pass I trains a batch model over the training prefix; Pass II classifies
 test batches until a validation criterion fires (accuracy at or below the
-threshold, or a false-positive-rate increase); Pass III rebuilds the
-feature set from the retraining set (misclassified mail + support vectors
+threshold, or a false-positive-rate increase); Pass III updates the
+feature set on the retraining set (misclassified mail + support vectors
 + the violating batch) and retrains the model on it, then testing resumes.
+`run_session` builds each retraining set; one of a single class halts the
+session, recorded as the report's `halted` status.
 """
 
 from __future__ import annotations
@@ -25,17 +27,12 @@ class DriftLoopError(Exception):
     """Raised for invalid session inputs."""
 
 
-class SessionHalted(DriftLoopError):
-    """Raised when a retraining set degenerates to a single class."""
-
-
 class FprTrigger(Enum):
     PREV_BATCH = "prev_batch"
     SINCE_RETRAIN = "since_retrain"
 
 
 class TriggerCause(Enum):
-    NONE = "none"
     ACCURACY_BELOW_RHO = "accuracy_below_rho"
     FPR_INCREASED = "fpr_increased"
 
@@ -63,13 +60,6 @@ class DriftConfig:
 
 
 @dataclass(frozen=True)
-class TriggerDecision:
-    fired: bool
-    cause: TriggerCause
-    batch_index: int
-
-
-@dataclass(frozen=True)
 class BatchRecord:
     index: int
     size: int
@@ -89,7 +79,6 @@ class FilterState:
     one Pass-I state; the per-generation bookkeeping lives in `run_session`.
     """
 
-    generation: int
     feature_set: features.FeatureSet
     model: svm.SvmModel
     sv_documents: tuple[Document, ...]
@@ -111,11 +100,9 @@ def _label_to_int(label: Label) -> int:
     return 1 if label is Label.SPAM else -1
 
 
-def _generation(
-    number: int, docs, fs: features.FeatureSet, config: DriftConfig
-) -> FilterState:
-    """Generation `number`: the model trained on `docs` under `fs`, with the
-    documents that carry its support vectors."""
+def _generation(docs, fs: features.FeatureSet, config: DriftConfig) -> FilterState:
+    """The model trained on `docs` under `fs`, with the documents that carry
+    its support vectors."""
     vectors = features.vectorize_all(docs, fs)
     labels = [_label_to_int(d.label) for d in docs]
     model = svm.train_smo(
@@ -123,7 +110,7 @@ def _generation(
     )
     by_id = {d.id: d for d in docs}
     sv_documents = tuple(by_id[doc_id] for doc_id in model.sv_doc_ids)
-    return FilterState(number, fs, model, sv_documents)
+    return FilterState(fs, model, sv_documents)
 
 
 def run_batch_phase(
@@ -139,7 +126,7 @@ def run_batch_phase(
     if counts is None:
         counts = features.count_stats(training)
     fs = features.select(config.selector, counts, config.feature_dim)
-    return _generation(0, training.documents, fs, config)
+    return _generation(training.documents, fs, config)
 
 
 def evaluate_batch(state: FilterState, batch: LabeledCorpus, index: int = 0):
@@ -173,8 +160,8 @@ def evaluate_batch(state: FilterState, batch: LabeledCorpus, index: int = 0):
     return record, misclassified, scores, truths
 
 
-def check_validation(history, config: DriftConfig, batch_index: int = -1) -> TriggerDecision:
-    """Decide whether the latest batch violates a validation criterion.
+def check_validation(history, config: DriftConfig) -> TriggerCause | None:
+    """The validation criterion the latest batch violates, or None.
 
     `history` holds (accuracy, fpr) pairs since the last retrain. Accuracy
     at or below rho fires first; otherwise an FPR strictly above the
@@ -186,15 +173,15 @@ def check_validation(history, config: DriftConfig, batch_index: int = -1) -> Tri
         raise DriftLoopError("check_validation requires at least one batch")
     accuracy, fpr = history[-1]
     if accuracy <= config.rho:
-        return TriggerDecision(True, TriggerCause.ACCURACY_BELOW_RHO, batch_index)
+        return TriggerCause.ACCURACY_BELOW_RHO
     if len(history) >= 2 and fpr is not None:
         if config.fpr_trigger is FprTrigger.PREV_BATCH:
             reference = history[-2][1]
         else:
             reference = history[0][1]
         if reference is not None and fpr > reference:
-            return TriggerDecision(True, TriggerCause.FPR_INCREASED, batch_index)
-    return TriggerDecision(False, TriggerCause.NONE, batch_index)
+            return TriggerCause.FPR_INCREASED
+    return None
 
 
 def build_retraining_set(
@@ -210,36 +197,18 @@ def build_retraining_set(
 
 
 def incremental_retrain(
-    state: FilterState,
-    misclassified,
-    trigger: TriggerDecision,
-    violating_batch: LabeledCorpus,
-    config: DriftConfig,
-) -> tuple[FilterState, int, int]:
-    """Pass III: update the feature set and retrain on the retraining set.
+    state: FilterState, rtrem: LabeledCorpus, config: DriftConfig
+) -> tuple[FilterState, int]:
+    """Pass III: update the feature set on the retraining set `rtrem` and
+    retrain on it. Returns the new state and the number of features replaced.
 
-    `misclassified` is the mail misclassified since `state` was trained.
-    Returns the new state, the number of features replaced, and the size
-    of the retraining set. The solver restarts cold on the (small)
-    retraining set because the feature space changes between generations,
-    which invalidates previous kernel values; the saving comes from the
-    retraining set's size.
+    A single-class `rtrem` raises `features.FeatureError`. The solver
+    restarts cold on the (small) retraining set because the feature space
+    changes between generations, which invalidates previous kernel values;
+    the saving comes from the retraining set's size.
     """
-    if not trigger.fired:
-        raise DriftLoopError("incremental_retrain requires a fired trigger")
-    rtrem = build_retraining_set(state, misclassified, violating_batch)
-    if rtrem.n_spam == 0 or rtrem.n_legit == 0:
-        raise SessionHalted(
-            f"retraining set at batch {trigger.batch_index} contains a single class "
-            f"({rtrem.n_spam} spam / {rtrem.n_legit} legitimate)"
-        )
     fs_new, replaced = features.update_feature_set(state.feature_set, rtrem)
-    new_state = _generation(state.generation + 1, rtrem.documents, fs_new, config)
-    logger.info(
-        "retrained at batch %d: generation %d, %d features replaced, %d documents",
-        trigger.batch_index, new_state.generation, replaced, len(rtrem),
-    )
-    return new_state, replaced, len(rtrem)
+    return _generation(rtrem.documents, fs_new, config), replaced
 
 
 SESSION_FORMAT = "driftfilter-session-1"
@@ -359,24 +328,29 @@ def run_session(
         all_scores.extend(scores)
         all_truths.extend(truths)
         if mode is SessionMode.INCREMENTAL:
-            decision = check_validation(history, config, batch_index=k)
-            if decision.fired:
-                try:
-                    state, replaced, retrain_size = incremental_retrain(
-                        state, misclassified, decision, batch, config
+            cause = check_validation(history, config)
+            if cause is not None:
+                rtrem = build_retraining_set(state, misclassified, batch)
+                if rtrem.n_spam == 0 or rtrem.n_legit == 0:
+                    halted = (
+                        f"retraining set at batch {k} contains a single class "
+                        f"({rtrem.n_spam} spam / {rtrem.n_legit} legitimate)"
                     )
-                except SessionHalted as exc:
-                    halted = str(exc)
-                    logger.warning("session halted: %s", exc)
+                    logger.warning("session halted: %s", halted)
                     break
+                state, replaced = incremental_retrain(state, rtrem, config)
+                logger.info(
+                    "retrained at batch %d: generation %d, %d features replaced, "
+                    "%d documents", k, len(events) + 1, replaced, len(rtrem),
+                )
                 misclassified, history = [], []
                 post = evaluate_batch(state, batch, k)[0]
                 events.append(RetrainEvent(
                     batch_index=k,
-                    generation=state.generation,
-                    cause=decision.cause,
+                    generation=len(events) + 1,
+                    cause=cause,
                     replaced_features=replaced,
-                    retrain_size=retrain_size,
+                    retrain_size=len(rtrem),
                     cumulative_seen=seen,
                     pre_accuracy=record.accuracy,
                     post_accuracy=post.accuracy,

@@ -151,14 +151,13 @@ def _replay_incremental(partition, config):
         batch_accuracies.append(record.accuracy)
         history.append((record.accuracy, record.fpr))
         misclassified.extend(errors)
-        decision = check_validation(history, config, k)
-        if decision.fired:
+        if check_validation(history, config) is not None:
             sv_count = len(state.sv_documents)
             mcm_size = len(misclassified)
             rtrem = build_retraining_set(state, misclassified, batch)
             terms_before = set(state.feature_set.terms)
             dim_before = len(state.feature_set)
-            state, _, _ = incremental_retrain(state, misclassified, decision, batch, config)
+            state, _ = incremental_retrain(state, rtrem, config)
             misclassified, history = [], []
             terms_after = set(state.feature_set.terms)
             events.append({

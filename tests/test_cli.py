@@ -104,13 +104,14 @@ class TestParseConfig:
         assert first == second
 
 
+_GAMMA = st.floats(0.0, exclude_min=True, allow_infinity=False)
 # Keys with a range check in RunConfig.validate; every other key is drawn
 # from its annotated type (or its choices), and str values are unfiltered,
 # so `#`, line breaks and surrounding whitespace all occur.
 _RANGED = {
     "rho": st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
     "c": st.floats(0.0, exclude_min=True, allow_infinity=False),
-    "gamma": st.none() | st.floats(0.0, exclude_min=True, allow_infinity=False),
+    "gamma": st.none() | _GAMMA,
     "n": st.integers(min_value=1),
     "train_fraction": st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
     "n_batches": st.integers(min_value=1),
@@ -135,9 +136,34 @@ def _key_strategy(f):
     return st.none() | base if f.default is None else base
 
 
-_CONFIGS = st.builds(
-    RunConfig, **{f.name: _key_strategy(f) for f in fields(RunConfig)}
-)
+_UNSET = st.none() | st.just("")  # the values `_valid` reads as not set
+
+
+@st.composite
+def _configs(draw):
+    """A RunConfig whose coupled keys are drawn together: where a key's value
+    breaks one of `_valid`'s couplings, its partner is drawn again from the
+    values that keep it. A draw that already satisfies `_valid` is returned
+    as it is, so every valid config can be drawn, and few draws are filtered.
+    """
+    keys = {f.name: draw(_key_strategy(f)) for f in fields(RunConfig)}
+    if keys["kernel"] == "rbf" and keys["gamma"] is None:
+        keys["gamma"] = draw(_GAMMA)
+    if keys["experiment"] == "1":
+        keys["mode"] = "batch"
+    if keys["manifest"]:
+        for key in ("dataset", "test_path"):
+            if keys[key]:
+                keys[key] = draw(_UNSET)
+    else:
+        if keys["format"] != "synth" and not keys["dataset"]:
+            keys["dataset"] = draw(st.text(min_size=1))
+        if keys["format"] != "ecml" and keys["test_path"]:
+            keys["test_path"] = draw(_UNSET)
+    return RunConfig(**keys)
+
+
+_CONFIGS = _configs()
 
 
 def _valid(config: RunConfig) -> RunConfig:
@@ -517,6 +543,12 @@ class TestCliCommands:
             ("short_scores", {"scores": scores[:-1]}),
             ("truth_two", {"truths": [2] + truths[1:]}),
             ("bool_truth", {"truths": [True] + truths[1:]}),
+            # A retrain event names the criterion that fired it.
+            ("none_cause", {"events": [{
+                "batch_index": 0, "generation": 1, "cause": "none",
+                "replaced_features": 0, "retrain_size": 1, "cumulative_seen": 1,
+                "pre_accuracy": 0.5, "post_accuracy": 0.5,
+            }]}),
         ):
             (inputs / f"{name}.session.json").write_text(
                 json.dumps({**payload, **edited}), encoding="utf-8"
@@ -570,6 +602,8 @@ class TestCliCommands:
              "session truth must be 1 or -1, got 2"),
             (["report", "--session", str(inputs / "bool_truth.session.json"), "--out", "out"],
              "session truth must be 1 or -1, got True"),
+            (["report", "--session", str(inputs / "none_cause.session.json"), "--out", "out"],
+             "'none' is not a valid TriggerCause"),
             # Range checks of RunConfig.validate; `config dump` reads no data.
             (["config", "dump", "--train-fraction", "1.5"], "train_fraction must be"),
             (["config", "dump", "--n-batches", "0"], "n_batches must be"),

@@ -11,9 +11,9 @@ from driftfilter.corpus import (
     synth_drift,
 )
 from driftfilter.driftloop import (
-    DriftConfig, DriftLoopError, FprTrigger, SessionHalted, SessionMode,
-    TriggerCause, TriggerDecision, build_retraining_set, check_validation,
-    evaluate_batch, incremental_retrain, run_batch_phase, run_session,
+    DriftConfig, DriftLoopError, FprTrigger, SessionMode, TriggerCause,
+    build_retraining_set, check_validation, evaluate_batch, incremental_retrain,
+    run_batch_phase, run_session,
 )
 
 from conftest import make_corpus, make_doc
@@ -41,55 +41,47 @@ def separable_corpus(n=12, offset=0):
 class TestCheckValidation:
     def test_accuracy_threshold(self):
         history = [(0.95, 0.02), (0.89, 0.02)]
-        decision = check_validation(history, small_config(), batch_index=1)
-        assert decision.fired
-        assert decision.cause is TriggerCause.ACCURACY_BELOW_RHO
-        assert decision.batch_index == 1
+        cause = check_validation(history, small_config())
+        assert cause is TriggerCause.ACCURACY_BELOW_RHO
 
     def test_accuracy_equal_rho_fires(self):
-        decision = check_validation([(0.9, 0.0)], small_config(), 0)
-        assert decision.cause is TriggerCause.ACCURACY_BELOW_RHO
+        cause = check_validation([(0.9, 0.0)], small_config())
+        assert cause is TriggerCause.ACCURACY_BELOW_RHO
 
     def test_fpr_increase(self):
         history = [(0.95, 0.02), (0.95, 0.05)]
-        decision = check_validation(history, small_config(), 1)
-        assert decision.fired
-        assert decision.cause is TriggerCause.FPR_INCREASED
+        assert check_validation(history, small_config()) is TriggerCause.FPR_INCREASED
 
     def test_single_batch_no_fire(self):
-        decision = check_validation([(0.95, 0.02)], small_config(), 0)
-        assert not decision.fired
-        assert decision.cause is TriggerCause.NONE
+        assert check_validation([(0.95, 0.02)], small_config()) is None
 
     def test_accuracy_takes_precedence(self):
         history = [(0.95, 0.02), (0.85, 0.05)]
-        decision = check_validation(history, small_config(), 1)
-        assert decision.cause is TriggerCause.ACCURACY_BELOW_RHO
+        cause = check_validation(history, small_config())
+        assert cause is TriggerCause.ACCURACY_BELOW_RHO
 
     def test_since_retrain_reference(self):
         history = [(0.95, 0.05), (0.95, 0.03), (0.95, 0.04)]
-        prev = check_validation(history, small_config(), 2)
-        assert prev.cause is TriggerCause.FPR_INCREASED  # 0.04 > 0.03
+        prev = check_validation(history, small_config())
+        assert prev is TriggerCause.FPR_INCREASED  # 0.04 > 0.03
         since = check_validation(
-            history, small_config(fpr_trigger=FprTrigger.SINCE_RETRAIN), 2
+            history, small_config(fpr_trigger=FprTrigger.SINCE_RETRAIN)
         )
-        assert not since.fired  # 0.04 <= 0.05 baseline
+        assert since is None  # 0.04 <= 0.05 baseline
 
     def test_absent_fpr_never_fires(self):
         history = [(0.95, None), (0.95, None)]
-        decision = check_validation(history, small_config(), 1)
-        assert not decision.fired
+        assert check_validation(history, small_config()) is None
 
     def test_empty_history_error(self):
         with pytest.raises(DriftLoopError):
-            check_validation([], small_config(), 0)
+            check_validation([], small_config())
 
 
 class TestRunBatchPhase:
     def test_minimal_two_document_corpus(self):
         corpus_ = make_corpus([("spam", ["aa", "bb"]), ("legit", ["cc", "dd"])])
         state = run_batch_phase(corpus_, small_config(n=4))
-        assert state.generation == 0
         assert len(state.model.alphas) <= 2
         assert len(state.sv_documents) == len(state.model.alphas)
 
@@ -203,13 +195,7 @@ class TestIncrementalRetrain:
         )
         assert len(rtrem.documents) <= bound
 
-    def test_requires_fired_trigger(self):
-        _, partition, config, state = self._drifted_setup()
-        decision = TriggerDecision(False, TriggerCause.NONE, 0)
-        with pytest.raises(DriftLoopError, match="fired"):
-            incremental_retrain(state, [], decision, partition.test_batches[0], config)
-
-    def test_single_class_retraining_halts(self):
+    def test_single_class_retraining_set_raises_a_named_error(self):
         corpus_ = separable_corpus()
         config = small_config(n=8)
         state = run_batch_phase(corpus_, config)
@@ -219,19 +205,17 @@ class TestIncrementalRetrain:
         state = replace(state, sv_documents=tuple(
             d for d in state.sv_documents if d.label is Label.SPAM
         ))
-        decision = TriggerDecision(True, TriggerCause.ACCURACY_BELOW_RHO, 0)
-        with pytest.raises(SessionHalted):
-            incremental_retrain(state, [], decision, spam_only, config)
+        rtrem = build_retraining_set(state, [], spam_only)
+        assert rtrem.n_legit == 0
+        with pytest.raises(features.FeatureError, match="both classes"):
+            incremental_retrain(state, rtrem, config)
 
-    def test_generation_and_mcm_reset(self):
+    def test_dimension_kept_and_replacements_counted(self):
         _, partition, config, state = self._drifted_setup()
         batch = partition.test_batches[2]  # post-drift
         _, misclassified, _, _ = evaluate_batch(state, batch)
-        decision = TriggerDecision(True, TriggerCause.ACCURACY_BELOW_RHO, 2)
-        new_state, replaced, _ = incremental_retrain(
-            state, misclassified, decision, batch, config
-        )
-        assert new_state.generation == state.generation + 1
+        rtrem = build_retraining_set(state, misclassified, batch)
+        new_state, replaced = incremental_retrain(state, rtrem, config)
         assert len(new_state.feature_set) == len(state.feature_set)
         added = set(new_state.feature_set.terms) - set(state.feature_set.terms)
         assert replaced == len(added)
@@ -241,8 +225,8 @@ class TestIncrementalRetrain:
         batch = partition.test_batches[2]
         record, misclassified, _, _ = evaluate_batch(state, batch)
         assert record.accuracy < 0.9  # the drift really bites
-        decision = TriggerDecision(True, TriggerCause.ACCURACY_BELOW_RHO, 2)
-        new_state, _, _ = incremental_retrain(state, misclassified, decision, batch, config)
+        rtrem = build_retraining_set(state, misclassified, batch)
+        new_state, _ = incremental_retrain(state, rtrem, config)
         post = evaluate_batch(new_state, batch)[0]
         assert post.accuracy > record.accuracy
 
@@ -250,12 +234,8 @@ class TestIncrementalRetrain:
         _, partition, config, state = self._drifted_setup()
         batch = partition.test_batches[2]
         _, misclassified, _, _ = evaluate_batch(state, batch)
-        decision = TriggerDecision(True, TriggerCause.ACCURACY_BELOW_RHO, 2)
         rtrem = build_retraining_set(state, misclassified, batch)
-        new_state, _, retrain_size = incremental_retrain(
-            state, misclassified, decision, batch, config
-        )
-        assert retrain_size == len(rtrem.documents)
+        new_state, _ = incremental_retrain(state, rtrem, config)
         rtrem_ids = {d.id for d in rtrem.documents}
         assert {d.id for d in new_state.sv_documents} <= rtrem_ids
 
@@ -322,6 +302,7 @@ class TestRunSession:
         start = earlier = stale = 0
         for (state, batch, rtrem), event in zip(calls, report.events):
             k = event.batch_index
+            assert event.retrain_size == len(rtrem)
             assert set().union(*wrong[start:k + 1]) <= rtrem
             carriers = {d.id for d in state.sv_documents + batch.documents}
             older = set().union(*wrong[:start]) - carriers
@@ -375,11 +356,9 @@ class TestRunSession:
             record, errors, _, _ = evaluate_batch(state, batch, k)
             history.append((record.accuracy, record.fpr))
             misclassified.extend(errors)
-            decision = check_validation(history, config, k)
-            if decision.fired:
-                state, _, _ = incremental_retrain(
-                    state, misclassified, decision, batch, config
-                )
+            if check_validation(history, config) is not None:
+                rtrem = build_retraining_set(state, misclassified, batch)
+                state, _ = incremental_retrain(state, rtrem, config)
                 misclassified, history = [], []
                 assert len(state.feature_set) == dim0
                 terms = list(state.feature_set.terms)
@@ -473,6 +452,31 @@ class TestRunSession:
             assert reports[0].partition_checksum != reports[1].partition_checksum
             same = [replace(r, partition_checksum="").to_json() for r in reports]
             assert same[0] == same[1]
+
+    @pytest.mark.parametrize("seed", [3, 11])
+    @pytest.mark.parametrize("kernel, gamma", [("linear", None), ("rbf", 0.5)])
+    def test_unseen_test_term_keeps_the_batch_report(self, seed, kernel, gamma):
+        # A term that no training document holds is in no Pass-I feature set,
+        # and batch mode never reselects, so adding it to every test document
+        # changes no vector.
+        stream = synth_drift(seed, vocab_size=200, docs_per_phase=300)
+        partition = partition_stream(stream, 1 / 3, 6)
+        unseen = "unseen"
+        assert all(unseen not in d.tokens for d in partition.training.documents)
+        extended = replace(partition, test_batches=tuple(
+            LabeledCorpus(tuple(
+                replace(d, tokens=d.tokens + (unseen,)) for d in batch.documents
+            ))
+            for batch in partition.test_batches
+        ))
+        config = DriftConfig(
+            rho=0.9, feature_dim=60,
+            train_config=svm.TrainConfig(C=1.0, kernel=kernel, gamma=gamma),
+        )
+        reports = [run_session(p, config, SessionMode.BATCH) for p in (partition, extended)]
+        assert reports[0].partition_checksum != reports[1].partition_checksum
+        same = [replace(r, partition_checksum="").to_json() for r in reports]
+        assert same[0] == same[1]
 
     def test_report_round_trip(self):
         stream = synth_drift(4, vocab_size=120, docs_per_phase=100, overlap=0.2)

@@ -17,6 +17,8 @@ inputs:
 - experiment 2 on the same stream with `--fpr-trigger since_retrain --rho 0.95`;
 - experiments 1 and 2 on a manifest listing a PU directory, a two-file ecml
   dataset and a one-file ecml dataset;
+- experiment 2 with `--c 1e-12` on a two-file ecml dataset whose test batches
+  are all spam, then all legitimate, so that the incremental session halts;
 - `report` over every session file the runs above wrote.
 
 Every input is written once, under `--work` (default: a temporary directory,
@@ -107,6 +109,24 @@ def write_manifest(root: Path, mailgen, stoplist) -> Path:
     return manifest
 
 
+def write_halting(root: Path) -> list[str]:
+    """A two-file ecml dataset and the `run` arguments under which its
+    incremental session halts. At C = 1e-12 no multiplier makes a support
+    vector, so every mail scores the bias (about 1e-13 off 0) and lands in
+    one class. The first test batch is all spam and the second all
+    legitimate, so whichever is wholly misclassified fires the accuracy
+    trigger on a retraining set of its one class: here, batch 0."""
+    rng = random.Random(1)
+    spam, legit = range(0, 40), range(100, 200)
+    root.mkdir(parents=True, exist_ok=True)
+    train, test = root / "halt_train.dat", root / "halt_test.dat"
+    train.write_text(_ecml(rng, 12, spam, legit), encoding="utf-8")
+    lines = _ecml(rng, 8, spam, legit).splitlines()
+    test.write_text("\n".join(lines[::2] + lines[1::2]) + "\n", encoding="utf-8")
+    return ["--format", "ecml", "--dataset", str(train), "--test-path", str(test),
+            "--experiment", "2", "--c", "1e-12", "--n", "8", "--n-batches", "2"]
+
+
 def _bench_modules():
     """`perfbench/mailgen.py` and `perfbench/run.py`, imported read-only."""
     if str(ROOT / "perfbench") not in sys.path:
@@ -160,6 +180,7 @@ def plan(inputs: Path) -> list[tuple[str, list[str]]]:
                                          "--rho", "0.95"]),
         ("manifest_e1", ["--manifest", str(manifest), "--experiment", "1", *MANIFEST]),
         ("manifest_e2", ["--manifest", str(manifest), "--experiment", "2", *MANIFEST]),
+        ("ecml_halt", write_halting(inputs / "halt")),
     ]
     return runs
 
