@@ -127,6 +127,16 @@ class StreamPartition:
     training: LabeledCorpus
     test_batches: tuple[LabeledCorpus, ...]
 
+    def __post_init__(self):
+        # The drift loop merges retraining sets by id, so a shared id would
+        # silently drop a document from them.
+        seen: set[str] = set()
+        for group in (self.training, *self.test_batches):
+            for doc in group.documents:
+                if doc.id in seen:
+                    raise CorpusError(f"document id {doc.id!r} appears twice in the partition")
+                seen.add(doc.id)
+
     @cached_property
     def checksum(self) -> str:
         """Stable digest of the documents (id, label and tokens) and batch
@@ -185,9 +195,7 @@ def _stem_fixpoint(word: str) -> str:
     token = word
     while out != token:
         token = out
-        # A raw word met before is not in `_fixpoints`, but a term `_terms`
-        # kept for it is its fixed point.
-        out = _fixpoints.get(token) or _terms.get(token)
+        out = _fixpoints.get(token)
         if out:
             break
         chain.append(token)

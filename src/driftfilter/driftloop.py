@@ -105,12 +105,8 @@ def _generation(docs, fs: features.FeatureSet, config: DriftConfig) -> FilterSta
     its support vectors."""
     vectors = features.vectorize_all(docs, fs)
     labels = [_label_to_int(d.label) for d in docs]
-    model = svm.train_smo(
-        vectors, labels, config.train_config, doc_ids=[d.id for d in docs]
-    )
-    by_id = {d.id: d for d in docs}
-    sv_documents = tuple(by_id[doc_id] for doc_id in model.sv_doc_ids)
-    return FilterState(fs, model, sv_documents)
+    model = svm.train_smo(vectors, labels, config.train_config)
+    return FilterState(fs, model, tuple(docs[i] for i in model.sv_indices))
 
 
 def run_batch_phase(
@@ -146,7 +142,7 @@ def evaluate_batch(state: FilterState, batch: LabeledCorpus, index: int = 0):
     predictions = [1 if s > 0 else -1 for s in scores]
     truths = [_label_to_int(d.label) for d in batch.documents]
     cm = metrics.confusion(predictions, truths)
-    accuracy, fpr, fnr = metrics.rates(cm)
+    report = metrics.MetricsReport.from_confusion(cm)
     misclassified = [
         doc for doc, pred, truth in zip(batch.documents, predictions, truths)
         if pred != truth
@@ -155,7 +151,7 @@ def evaluate_batch(state: FilterState, batch: LabeledCorpus, index: int = 0):
         index=index,
         size=len(batch.documents),
         tp=cm.tp, tn=cm.tn, fp=cm.fp, fn=cm.fn,
-        accuracy=accuracy, fpr=fpr, fnr=fnr,
+        accuracy=report.accuracy, fpr=report.fpr, fnr=report.fnr,
     )
     return record, misclassified, scores, truths
 

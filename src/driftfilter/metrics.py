@@ -1,7 +1,8 @@
 """Confusion-matrix bookkeeping, the six evaluation measures, ROC points.
 
 Spam is the positive class throughout: tp counts spam classified as spam,
-fp counts legitimate mail classified as spam (the costlier error).
+fp counts legitimate mail classified as spam (the costlier error). The
+measures are the fields of `MetricsReport.from_confusion`.
 """
 
 from __future__ import annotations
@@ -58,66 +59,27 @@ def confusion(predictions, truths) -> ConfusionMatrix:
     return ConfusionMatrix(tp, tn, fp, fn)
 
 
-def rates(cm: ConfusionMatrix) -> tuple[float, float | None, float | None]:
-    """(accuracy, false positive rate, false negative rate).
-
-    A rate whose class is empty is undefined and reported as None rather
-    than a fabricated 0.
-    """
-    if cm.total == 0:
-        raise MetricsError("empty confusion matrix")
-    accuracy = (cm.tn + cm.tp) / cm.total
-    fpr = cm.fp / cm.n_legit if cm.n_legit > 0 else None
-    fnr = cm.fn / cm.n_spam if cm.n_spam > 0 else None
-    return accuracy, fpr, fnr
-
-
 def _f1(precision: float, recall: float) -> float:
     if precision + recall == 0:
         return 0.0
     return 2.0 * precision * recall / (precision + recall)
 
 
-def precision_recall(cm: ConfusionMatrix, positive: int = 1) -> tuple[float, float]:
-    """Precision and recall for one class; zero denominators give 0."""
-    if positive == 1:
-        predicted, actual, hits = cm.tp + cm.fp, cm.n_spam, cm.tp
-    else:
-        predicted, actual, hits = cm.tn + cm.fn, cm.n_legit, cm.tn
-    precision = hits / predicted if predicted else 0.0
-    recall = hits / actual if actual else 0.0
-    return precision, recall
-
-
-def f_measures(cm: ConfusionMatrix) -> tuple[float, float]:
-    """(micro_f1, macro_f1).
-
-    micro_f1 is the F1 of the positive (spam) class; macro_f1 averages the
-    per-class F1 over both classes. Zero-denominator F1 terms are 0.
-    """
-    if cm.total == 0:
-        raise MetricsError("empty confusion matrix")
-    p_spam, r_spam = precision_recall(cm, positive=1)
-    p_legit, r_legit = precision_recall(cm, positive=-1)
-    micro = _f1(p_spam, r_spam)
-    macro = (_f1(p_spam, r_spam) + _f1(p_legit, r_legit)) / 2.0
-    return micro, macro
-
-
-def mcc(cm: ConfusionMatrix) -> float:
-    """Matthews correlation coefficient; zero-factor radicands give 0."""
-    if cm.total == 0:
-        raise MetricsError("empty confusion matrix")
-    denom = (
-        (cm.tp + cm.fp) * (cm.tp + cm.fn) * (cm.tn + cm.fp) * (cm.tn + cm.fn)
-    )
-    if denom == 0:
-        return 0.0
-    return (cm.tp * cm.tn - cm.fp * cm.fn) / math.sqrt(denom)
+def _ratio(hits: int, total: int) -> float:
+    return hits / total if total else 0.0
 
 
 @dataclass(frozen=True)
 class MetricsReport:
+    """The measures of one confusion matrix; build it with `from_confusion`.
+
+    A rate whose class is empty (fpr, fnr) is undefined and reported as
+    None rather than a fabricated 0. Other zero denominators give 0:
+    precision, recall and F1 terms, and MCC when a factor of its radicand
+    is 0. micro_f1 is the F1 of the spam class; macro_f1 averages the F1 of
+    both classes.
+    """
+
     accuracy: float
     fpr: float | None
     fnr: float | None
@@ -131,11 +93,24 @@ class MetricsReport:
 
     @classmethod
     def from_confusion(cls, cm: ConfusionMatrix) -> "MetricsReport":
-        accuracy, fpr, fnr = rates(cm)
-        micro, macro = f_measures(cm)
-        p_s, r_s = precision_recall(cm, positive=1)
-        p_l, r_l = precision_recall(cm, positive=-1)
-        return cls(accuracy, fpr, fnr, micro, macro, mcc(cm), p_s, r_s, p_l, r_l)
+        if cm.total == 0:
+            raise MetricsError("empty confusion matrix")
+        p_s, r_s = _ratio(cm.tp, cm.tp + cm.fp), _ratio(cm.tp, cm.n_spam)
+        p_l, r_l = _ratio(cm.tn, cm.tn + cm.fn), _ratio(cm.tn, cm.n_legit)
+        f1_spam = _f1(p_s, r_s)
+        denom = (cm.tp + cm.fp) * (cm.tp + cm.fn) * (cm.tn + cm.fp) * (cm.tn + cm.fn)
+        return cls(
+            accuracy=(cm.tn + cm.tp) / cm.total,
+            fpr=cm.fp / cm.n_legit if cm.n_legit > 0 else None,
+            fnr=cm.fn / cm.n_spam if cm.n_spam > 0 else None,
+            micro_f1=f1_spam,
+            macro_f1=(f1_spam + _f1(p_l, r_l)) / 2.0,
+            mcc=(cm.tp * cm.tn - cm.fp * cm.fn) / math.sqrt(denom) if denom else 0.0,
+            precision_spam=p_s,
+            recall_spam=r_s,
+            precision_legit=p_l,
+            recall_legit=r_l,
+        )
 
 
 def roc_points(scores, truths) -> list[tuple[float, float]]:

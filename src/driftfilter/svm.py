@@ -77,14 +77,15 @@ class TrainConfig:
 class SvmModel:
     """Support vectors with their dual coefficients and the bias term.
 
-    Document ids ride along so the incremental loop can re-vectorize the
-    support vectors after the feature space changes.
+    `sv_indices` holds the support vectors' positions in the training
+    input, so the incremental loop can re-vectorize their documents after
+    the feature space changes.
     """
 
     alphas: tuple[float, ...]
     sv_labels: tuple[int, ...]
     sv_vectors: tuple[SparseVector, ...]
-    sv_doc_ids: tuple[str, ...]
+    sv_indices: tuple[int, ...]
     bias: float
     config: TrainConfig
     dim: int
@@ -290,7 +291,7 @@ def _solve(kernel: _KernelTable, y: np.ndarray, config: TrainConfig):
     return alpha, bias, objective, converged, -(-steps // n)
 
 
-def train_smo(vectors, labels, config: TrainConfig, doc_ids=None) -> SvmModel:
+def train_smo(vectors, labels, config: TrainConfig) -> SvmModel:
     """Train on sparse vectors with +1/-1 labels.
 
     Raises for empty or single-class input. The returned model reports
@@ -307,12 +308,6 @@ def train_smo(vectors, labels, config: TrainConfig, doc_ids=None) -> SvmModel:
         raise SvmError("labels must be -1 or +1")
     if len(set(labels)) < 2:
         raise SvmError("training requires both classes")
-    if doc_ids is None:
-        doc_ids = [str(i) for i in range(len(vectors))]
-    else:
-        doc_ids = [str(d) for d in doc_ids]
-        if len(doc_ids) != len(vectors):
-            raise SvmError("doc_ids and vectors length mismatch")
     tags = {v.feature_tag for v in vectors if v.feature_tag is not None}
     if len(tags) > 1:
         raise SvmError("training vectors come from different feature sets")
@@ -332,7 +327,7 @@ def train_smo(vectors, labels, config: TrainConfig, doc_ids=None) -> SvmModel:
         alphas=tuple(float(alpha[i]) for i in keep),
         sv_labels=tuple(int(labels[i]) for i in keep),
         sv_vectors=tuple(vectors[i] for i in keep),
-        sv_doc_ids=tuple(doc_ids[i] for i in keep),
+        sv_indices=tuple(keep),
         bias=bias,
         config=config,
         dim=dim,

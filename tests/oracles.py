@@ -296,20 +296,18 @@ def svm_score(model, x):
     return score
 
 
-def kkt_violations(vectors, labels, model, doc_ids=None):
-    """Per-example KKT violation of a trained model.
+def kkt_violations(vectors, labels, model):
+    """Per-example KKT violation of a model trained on `vectors`.
 
     An example with alpha == 0 must reach margin >= 1, a bound one
     (alpha == C) must not exceed margin 1, and a free one must sit on it.
-    Multipliers are looked up by document id (default: the index).
+    Multipliers are looked up by position in the training input.
     """
-    if doc_ids is None:
-        doc_ids = [str(i) for i in range(len(vectors))]
-    alpha_by_id = dict(zip(model.sv_doc_ids, model.alphas))
+    alpha_by_index = dict(zip(model.sv_indices, model.alphas))
     eps, C = ALPHA_EPSILON, model.config.C
     violations = []
-    for doc_id, label, x in zip(doc_ids, labels, vectors):
-        alpha = alpha_by_id.get(str(doc_id), 0.0)
+    for i, (label, x) in enumerate(zip(labels, vectors)):
+        alpha = alpha_by_index.get(i, 0.0)
         margin = label * svm_score(model, x)
         if alpha <= eps:
             violations.append(max(0.0, 1.0 - margin))

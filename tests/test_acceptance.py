@@ -104,20 +104,20 @@ def test_criterion_2_smo_against_qp_oracle():
 
 def test_criterion_3_metrics_exactness():
     """Hand-computed fixtures for all six measures to 1e-12."""
+    measures = metrics.MetricsReport.from_confusion
     cm = metrics.ConfusionMatrix(tp=3, tn=5, fp=1, fn=1)
-    accuracy, fpr, fnr = metrics.rates(cm)
-    assert abs(accuracy - 0.8) <= 1e-12
-    assert abs(fpr - 1 / 6) <= 1e-12
-    assert abs(fnr - 0.25) <= 1e-12
-    micro, macro = metrics.f_measures(cm)
-    assert abs(micro - 0.75) <= 1e-12
-    assert abs(macro - (0.75 + 5 / 6) / 2) <= 1e-12
-    assert abs(metrics.mcc(cm) - 14 / 24) <= 1e-12
-    assert metrics.mcc(metrics.ConfusionMatrix(tp=7, tn=9)) == 1.0
-    assert metrics.mcc(metrics.ConfusionMatrix(fp=9, fn=7)) == -1.0
-    perfect = metrics.ConfusionMatrix(tp=4, tn=6)
-    assert metrics.rates(perfect) == (1.0, 0.0, 0.0)
-    assert metrics.f_measures(perfect) == (1.0, 1.0)
+    report = measures(cm)
+    assert abs(report.accuracy - 0.8) <= 1e-12
+    assert abs(report.fpr - 1 / 6) <= 1e-12
+    assert abs(report.fnr - 0.25) <= 1e-12
+    assert abs(report.micro_f1 - 0.75) <= 1e-12
+    assert abs(report.macro_f1 - (0.75 + 5 / 6) / 2) <= 1e-12
+    assert abs(report.mcc - 14 / 24) <= 1e-12
+    assert measures(metrics.ConfusionMatrix(tp=7, tn=9)).mcc == 1.0
+    assert measures(metrics.ConfusionMatrix(fp=9, fn=7)).mcc == -1.0
+    perfect = measures(metrics.ConfusionMatrix(tp=4, tn=6))
+    assert (perfect.accuracy, perfect.fpr, perfect.fnr) == (1.0, 0.0, 0.0)
+    assert (perfect.micro_f1, perfect.macro_f1) == (1.0, 1.0)
     print("PASS criterion 3: metrics match hand-computed fixtures to 1e-12")
 
 

@@ -4,6 +4,7 @@ import random
 import string
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -12,8 +13,8 @@ from hypothesis import strategies as st
 
 from driftfilter import corpus, porter
 from driftfilter.corpus import (
-    CorpusError, Document, Label, LabeledCorpus, load_ecml, load_enron,
-    load_pu, partition_stream, preprocess_text, split_batches,
+    CorpusError, Document, Label, LabeledCorpus, StreamPartition, load_ecml,
+    load_enron, load_pu, partition_stream, preprocess_text, split_batches,
     stopwords, synth_drift, write_enron_layout,
 )
 
@@ -564,6 +565,22 @@ class TestPartitionStream:
     def test_too_many_batches(self):
         with pytest.raises(CorpusError, match="n_batches"):
             partition_stream(_numbered_corpus(10), 0.5, 6)
+
+    @pytest.mark.parametrize("source, target", [
+        (0, 0),  # within the training set
+        (0, 2),  # the training set and a batch
+        (1, 3),  # two batches
+    ])
+    def test_shared_document_id_rejected(self, source, target):
+        # Retraining sets are merged by id, so a shared id would silently
+        # drop a document from them.
+        part = partition_stream(_numbered_corpus(12), 1 / 3, 3)
+        groups = [part.training, *part.test_batches]
+        clash = groups[source].documents[-1].id
+        docs = groups[target].documents
+        groups[target] = LabeledCorpus((replace(docs[0], id=clash),) + docs[1:])
+        with pytest.raises(CorpusError, match=f"document id '{clash}' appears twice"):
+            StreamPartition(groups[0], tuple(groups[1:]))
 
     def test_batches_sorted(self):
         part = partition_stream(_numbered_corpus(30), 1 / 3, 5)

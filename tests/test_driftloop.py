@@ -111,8 +111,18 @@ class TestRunBatchPhase:
             run_batch_phase(training, config)
 
     def test_sv_documents_match_model(self):
-        state = run_batch_phase(separable_corpus(), small_config(n=8))
-        assert tuple(d.id for d in state.sv_documents) == state.model.sv_doc_ids
+        training = separable_corpus()
+        state = run_batch_phase(training, small_config(n=8))
+        model = state.model
+        assert model.sv_indices
+        assert state.sv_documents == tuple(training.documents[i] for i in model.sv_indices)
+        assert model.sv_labels == tuple(
+            1 if d.label is Label.SPAM else -1 for d in state.sv_documents
+        )
+        for doc, sv in zip(state.sv_documents, model.sv_vectors):
+            vector = features.vectorize_all([doc], state.feature_set)[0]
+            assert vector.positions.tolist() == sv.positions.tolist()
+            assert vector.weights.tolist() == sv.weights.tolist()
 
 
 class TestEvaluateBatch:
@@ -477,6 +487,47 @@ class TestRunSession:
         assert reports[0].partition_checksum != reports[1].partition_checksum
         same = [replace(r, partition_checksum="").to_json() for r in reports]
         assert same[0] == same[1]
+
+    @pytest.mark.parametrize("seed", [3, 11])
+    @pytest.mark.parametrize("kernel, gamma", [("linear", None), ("rbf", 0.5)])
+    def test_label_swap_swaps_the_batch_report(self, seed, kernel, gamma):
+        # Swapping spam and legitimate keeps every selector's terms; TFDCR,
+        # chi and gini rank both classes alike, so they keep the order too
+        # (ig, igr and cfs can reorder through last-ulp ties). With y -> -y
+        # the dual objective and its constraint are unchanged, so the two
+        # solves approach one optimum. A solve stops with every example
+        # within the tolerance of its KKT condition, and each example then
+        # adds at most C * tolerance to the duality gap: so each objective
+        # lies within n * C * tolerance of the optimum. The tight tolerance
+        # keeps a score near 0 from landing in the gap between the solves
+        # and flipping one document's class.
+        def swap(d):
+            return replace(d, label=Label.LEGITIMATE if d.label is Label.SPAM else Label.SPAM)
+
+        stream = synth_drift(seed, vocab_size=200, docs_per_phase=300)
+        partitions = [
+            partition_stream(s, 1 / 3, 6)
+            for s in (stream, LabeledCorpus(tuple(map(swap, stream.documents))))
+        ]
+        train_config = svm.TrainConfig(C=1.0, kernel=kernel, gamma=gamma, kkt_tolerance=1e-5)
+        bound = len(partitions[0].training) * train_config.C * train_config.kkt_tolerance
+        for selector in features.SELECTORS:
+            config = DriftConfig(rho=0.9, feature_dim=60, train_config=train_config,
+                                 selector=selector)
+            states = [run_batch_phase(p.training, config) for p in partitions]
+            terms, swapped_terms = (state.feature_set.terms for state in states)
+            assert set(terms) == set(swapped_terms)
+            if selector in ("tfdcr", "chi", "gini"):
+                assert terms == swapped_terms
+            objective, swapped_objective = (state.model.objective for state in states)
+            assert abs(objective - swapped_objective) <= bound
+            report, swapped = (
+                run_session(p, config, SessionMode.BATCH, state)
+                for p, state in zip(partitions, states)
+            )
+            for record, other in zip(report.batches, swapped.batches, strict=True):
+                assert (record.tp, record.fp, record.fpr) == (other.tn, other.fn, other.fnr)
+                assert (record.tn, record.fn, record.fnr) == (other.tp, other.fp, other.fpr)
 
     def test_report_round_trip(self):
         stream = synth_drift(4, vocab_size=120, docs_per_phase=100, overlap=0.2)

@@ -5,8 +5,8 @@ import pytest
 
 from driftfilter.cli import TABLE_COLUMNS, emit_report
 from driftfilter.metrics import (
-    ConfusionMatrix, MetricsError, MetricsReport, confusion, f_measures,
-    mcc, rates, roc_points, write_roc_tsv,
+    ConfusionMatrix, MetricsError, MetricsReport, confusion, roc_points,
+    write_roc_tsv,
 )
 
 import oracles
@@ -33,27 +33,28 @@ class TestConfusion:
             confusion([1], [1, -1])
 
 
+measures = MetricsReport.from_confusion
+
+
 class TestRates:
     def test_hand_example(self):
-        cm = ConfusionMatrix(tp=3, tn=5, fp=1, fn=1)
-        accuracy, fpr, fnr = rates(cm)
-        assert accuracy == 0.8
-        assert fpr == 1 / 6
-        assert fnr == 0.25
+        report = measures(ConfusionMatrix(tp=3, tn=5, fp=1, fn=1))
+        assert report.accuracy == 0.8
+        assert report.fpr == 1 / 6
+        assert report.fnr == 0.25
 
     def test_perfect(self):
-        cm = ConfusionMatrix(tp=4, tn=6)
-        assert rates(cm) == (1.0, 0.0, 0.0)
+        report = measures(ConfusionMatrix(tp=4, tn=6))
+        assert (report.accuracy, report.fpr, report.fnr) == (1.0, 0.0, 0.0)
 
     def test_absent_fpr(self):
-        cm = ConfusionMatrix(tp=3, fn=1)
-        accuracy, fpr, fnr = rates(cm)
-        assert fpr is None
-        assert fnr == 0.25
+        report = measures(ConfusionMatrix(tp=3, fn=1))
+        assert report.fpr is None
+        assert report.fnr == 0.25
 
     def test_empty_error(self):
         with pytest.raises(MetricsError):
-            rates(ConfusionMatrix())
+            measures(ConfusionMatrix())
 
     def test_accuracy_identity(self):
         rng = random.Random(2)
@@ -61,7 +62,7 @@ class TestRates:
             cm = ConfusionMatrix(*(rng.randint(0, 20) for _ in range(4)))
             if cm.total == 0:
                 continue
-            accuracy, _, _ = rates(cm)
+            accuracy = measures(cm).accuracy
             assert abs(accuracy - (1 - (cm.fp + cm.fn) / cm.total)) <= 1e-15
 
     def test_fpr_specificity_identity(self):
@@ -70,54 +71,51 @@ class TestRates:
             cm = ConfusionMatrix(*(rng.randint(0, 20) for _ in range(4)))
             if cm.n_legit == 0:
                 continue
-            _, fpr, _ = rates(cm)
+            fpr = measures(cm).fpr
             assert abs(fpr + cm.tn / cm.n_legit - 1.0) <= 1e-15
 
 
 class TestFMeasures:
     def test_micro_equals_p_when_p_equals_r(self):
-        cm = ConfusionMatrix(tp=3, tn=5, fp=1, fn=1)
-        micro, _ = f_measures(cm)
-        assert micro == 0.75  # P == R == 0.75
+        report = measures(ConfusionMatrix(tp=3, tn=5, fp=1, fn=1))
+        assert report.micro_f1 == 0.75  # P == R == 0.75
 
     def test_perfect(self):
-        cm = ConfusionMatrix(tp=4, tn=6)
-        assert f_measures(cm) == (1.0, 1.0)
+        report = measures(ConfusionMatrix(tp=4, tn=6))
+        assert (report.micro_f1, report.macro_f1) == (1.0, 1.0)
 
     def test_hand_macro(self):
-        cm = ConfusionMatrix(tp=3, tn=5, fp=1, fn=1)
-        micro, macro = f_measures(cm)
-        assert micro == 0.75
+        report = measures(ConfusionMatrix(tp=3, tn=5, fp=1, fn=1))
+        assert report.micro_f1 == 0.75
         # legitimate class: P = 5/6, R = 5/6 -> F1 = 5/6
-        assert abs(macro - (0.75 + 5 / 6) / 2) <= 1e-12
+        assert abs(report.macro_f1 - (0.75 + 5 / 6) / 2) <= 1e-12
 
     def test_zero_denominator(self):
-        cm = ConfusionMatrix(tn=3, fn=2)  # nothing predicted spam, no tp
-        micro, macro = f_measures(cm)
-        assert micro == 0.0
+        report = measures(ConfusionMatrix(tn=3, fn=2))  # nothing predicted spam, no tp
+        assert report.micro_f1 == 0.0
 
     def test_empty_rejected(self):
         with pytest.raises(MetricsError, match="empty confusion matrix"):
-            f_measures(ConfusionMatrix())
+            measures(ConfusionMatrix())
 
 
 class TestMcc:
     def test_perfect(self):
-        assert mcc(ConfusionMatrix(tp=4, tn=6)) == 1.0
+        assert measures(ConfusionMatrix(tp=4, tn=6)).mcc == 1.0
 
     def test_inverted(self):
-        assert mcc(ConfusionMatrix(fp=6, fn=4)) == -1.0
+        assert measures(ConfusionMatrix(fp=6, fn=4)).mcc == -1.0
 
     def test_hand_example(self):
-        value = mcc(ConfusionMatrix(tp=3, tn=5, fp=1, fn=1))
+        value = measures(ConfusionMatrix(tp=3, tn=5, fp=1, fn=1)).mcc
         assert abs(value - 14 / 24) <= 1e-12
 
     def test_zero_denominator_zero(self):
-        assert mcc(ConfusionMatrix(tp=3, fn=1)) == 0.0
+        assert measures(ConfusionMatrix(tp=3, fn=1)).mcc == 0.0
 
     def test_empty_rejected(self):
         with pytest.raises(MetricsError, match="empty confusion matrix"):
-            mcc(ConfusionMatrix())
+            measures(ConfusionMatrix())
 
     def test_swap_invariance(self):
         rng = random.Random(4)
@@ -126,7 +124,7 @@ class TestMcc:
             if cm.total == 0:
                 continue
             swapped = ConfusionMatrix(tp=cm.tn, tn=cm.tp, fp=cm.fn, fn=cm.fp)
-            assert abs(mcc(cm) - mcc(swapped)) <= 1e-12
+            assert abs(measures(cm).mcc - measures(swapped).mcc) <= 1e-12
 
 
 class TestMetricsReport:
@@ -135,6 +133,15 @@ class TestMetricsReport:
         assert report.accuracy == 0.8
         assert report.micro_f1 == 0.75
         assert abs(report.mcc - 14 / 24) <= 1e-12
+
+    def test_precision_and_recall_per_class(self):
+        report = measures(ConfusionMatrix(tp=3, tn=4, fp=2, fn=1))
+        assert (report.precision_spam, report.recall_spam) == (3 / 5, 3 / 4)
+        assert (report.precision_legit, report.recall_legit) == (4 / 5, 4 / 6)
+        # No mail predicted legitimate: that class's precision is 0, not an error.
+        report = measures(ConfusionMatrix(tp=2, fp=3))
+        assert (report.precision_legit, report.recall_legit) == (0.0, 0.0)
+        assert report.fnr == 0.0
 
     def test_absent_rate_serializes_empty(self, tmp_path):
         # No legitimate mail: the FPR is undefined, and results.csv renders

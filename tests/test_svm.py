@@ -98,8 +98,8 @@ class TestXor:
         labels = [1, 1, -1, -1]
         config = TrainConfig(C=1.0)
         model = train_smo(vectors, labels, config)
-        alphas_by_id = dict(zip(model.sv_doc_ids, model.alphas))
-        full = [alphas_by_id.get(str(i), 0.0) for i in range(4)]
+        alphas_by_index = dict(zip(model.sv_indices, model.alphas))
+        full = [alphas_by_index.get(i, 0.0) for i in range(4)]
         assert all(0.0 <= a <= config.C for a in full)
         assert abs(sum(a * y for a, y in zip(full, labels))) <= 1e-6
         violations = oracles.kkt_violations(vectors, labels, model)
@@ -130,8 +130,8 @@ class TestAgainstQpOracle:
         vectors, labels = gaussian_dataset(3)
         config = TrainConfig(C=1.0)
         model = train_smo(vectors, labels, config)
-        alphas_by_id = dict(zip(model.sv_doc_ids, model.alphas))
-        full = [alphas_by_id.get(str(i), 0.0) for i in range(len(vectors))]
+        alphas_by_index = dict(zip(model.sv_indices, model.alphas))
+        full = [alphas_by_index.get(i, 0.0) for i in range(len(vectors))]
         direct = oracles.dual_objective(vectors, labels, full, config)
         assert abs(model.objective - direct) <= 1e-8
 
@@ -273,7 +273,7 @@ def assert_matches_reference(vectors, labels, config):
     )
     keep = alpha > ALPHA_EPSILON
     assert model.alphas == tuple(alpha[keep].tolist())
-    assert model.sv_doc_ids == tuple(str(i) for i in np.flatnonzero(keep))
+    assert model.sv_indices == tuple(np.flatnonzero(keep).tolist())
     assert (model.bias, model.objective, model.passes, model.converged) == (
         bias, objective, passes, converged
     )
@@ -476,13 +476,13 @@ class TestWeightVector:
 class TestSupportVectors:
     def test_two_point(self):
         vectors = [vec(1.0), vec(-1.0)]
-        model = train_smo(vectors, [1, -1], TrainConfig(), doc_ids=["p", "q"])
-        assert set(model.sv_doc_ids) == {"p", "q"}
+        model = train_smo(vectors, [1, -1], TrainConfig())
+        assert model.sv_indices == (0, 1)
 
     def test_alpha_above_epsilon(self):
         vectors, labels = gaussian_dataset(17)
         model = train_smo(vectors, labels, TrainConfig(C=1.0))
-        assert len(model.alphas) == len(model.sv_doc_ids) == len(model.sv_labels)
+        assert len(model.alphas) == len(model.sv_indices) == len(model.sv_labels)
         for alpha in model.alphas:
             assert alpha > ALPHA_EPSILON
 
@@ -503,10 +503,6 @@ class TestErrors:
     def test_labels_length_mismatch(self):
         with pytest.raises(SvmError, match="vectors and labels length mismatch"):
             train_smo([vec(1.0), vec(2.0)], [1, -1, 1], TrainConfig())
-
-    def test_doc_ids_length_mismatch(self):
-        with pytest.raises(SvmError, match="doc_ids and vectors length mismatch"):
-            train_smo([vec(1.0), vec(2.0)], [1, -1], TrainConfig(), doc_ids=["a"])
 
     def test_mixed_feature_sets(self):
         vectors = [vec(1.0, tag="fs-a"), vec(-1.0, tag="fs-b"), vec(0.5)]
