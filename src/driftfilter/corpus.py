@@ -173,62 +173,51 @@ def _words(raw_text: str) -> list[str]:
             .decode("ascii").split())
 
 
-# Bound on the fixed-point memo: above one large corpus's distinct stems, so
-# a run never evicts, yet finite in a process that loads corpus after corpus.
-_FIXPOINT_CACHE_SIZE = 1 << 16
-_fixpoints: dict[str, str] = {}
-
-
-def _stem_fixpoint(word: str) -> str:
-    # A single Porter pass is not idempotent (agreed -> agre -> agr), so the
-    # pipeline iterates to a fixed point; rewrites never grow the token, and
-    # the only length-preserving rule (y -> i) cannot cycle. Porter is
-    # deterministic, so every stem on the chain is memoized: the confirming
-    # pass on a stem is shared by all the words that reach it. `word` itself
-    # is kept only when it is its own stem; `_terms` remembers raw words. A
-    # loop, not recursion, because a chain can be as long as the word.
-    out = _fixpoints.get(word)
-    if out is not None:
-        return out
-    out = porter.stem(word)
-    chain = [word] if out == word else []  # stems whose fixed point is pending
-    token = word
-    while out != token:
-        token = out
-        out = _fixpoints.get(token)
-        if out:
-            break
-        chain.append(token)
-        out = porter.stem(token)
-    if len(_fixpoints) + len(chain) > _FIXPOINT_CACHE_SIZE:
-        _fixpoints.clear()
-    for stem in chain:
-        _fixpoints[stem] = out
-    return out
-
-
-# Bound on the raw-word memo: above one large corpus's distinct words.
+# Bound on the memo: above one large corpus's distinct words and stems, so a
+# run never evicts, yet finite in a process that loads corpus after corpus.
 _TERM_CACHE_SIZE = 1 << 16
 
 
-class _TermMemo(dict):
-    """Raw word -> its final term, or "" when the pipeline drops it.
+def _kept(token: str) -> bool:
+    return len(token) >= 2 and not token.isdigit() and token not in stopwords()
 
-    A miss runs the whole pipeline for one word and interns the term in
-    `TERMS`, so a hit costs one dict lookup and documents intern on the
-    fast path. Emptied when full.
+
+class _TermMemo(dict):
+    """Word -> its final term, or "" when the pipeline drops it.
+
+    A miss stems the word to a fixed point: one Porter pass is not
+    idempotent (agreed -> agre -> agr); rewrites never grow the token, and
+    the only length-preserving rule (y -> i) cannot cycle. Each stem on the
+    chain is stored as a word with its own term, so the confirming pass on a
+    stem is shared by all the words that reach it: a non-empty value met on
+    the chain is the shared fixed point, and the walk ends there. A "" does
+    not end it, as a dropped stem can lead to a kept one (outsideed ->
+    outside, a stop word, -> outsid). A loop, not recursion, because a chain
+    can be as long as the word. A miss interns the term in `TERMS`, so a hit
+    costs one dict lookup and documents intern on the fast path. Emptied
+    when full.
     """
 
     def __missing__(self, word: str) -> str:
-        stoplist = stopwords()
+        chain = []  # stems whose term is pending
         term = ""
-        if len(word) >= 2 and not word.isdigit() and word not in stoplist:
-            stem = _stem_fixpoint(word)
-            if len(stem) >= 2 and not stem.isdigit() and stem not in stoplist:
-                term = stem
-                TERMS.add(term)
-        if len(self) >= _TERM_CACHE_SIZE:
+        if _kept(word):
+            token, out = word, porter.stem(word)
+            while out != token:
+                token = out
+                term = self.get(token)
+                if term:
+                    break
+                chain.append(token)
+                out = porter.stem(token)
+            else:
+                term = token if _kept(token) else ""
+        if len(self) + len(chain) >= _TERM_CACHE_SIZE:
             self.clear()
+        if term:
+            TERMS.add(term)
+        for stem in chain:
+            self[stem] = term if _kept(stem) else ""
         self[word] = term
         return term
 

@@ -53,6 +53,8 @@ class DriftConfig:
     def __post_init__(self):
         if not 0.0 < self.rho < 1.0:
             raise DriftLoopError(f"rho must be in (0,1), got {self.rho}")
+        if type(self.feature_dim) is not int:
+            raise DriftLoopError(f"feature_dim must be an int, got {self.feature_dim!r}")
         if self.feature_dim < 1:
             raise DriftLoopError(f"feature_dim must be >= 1, got {self.feature_dim}")
         if self.selector not in features.SELECTORS:

@@ -77,8 +77,12 @@ def _check_entries(keys: np.ndarray, weights: np.ndarray) -> None:
         raise FeatureError("positions and weights differ in length")
     if np.any(keys[1:] <= keys[:-1]):
         raise FeatureError("entry positions must be strictly increasing")
+    if len(keys) and keys[0] < 0:
+        raise FeatureError(f"entry positions must be >= 0, got {keys[0]}")
     if np.any(weights == 0.0):
         raise FeatureError("zero weights must not be stored")
+    if not np.isfinite(weights).all():
+        raise FeatureError("weights must be finite")
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,17 +199,6 @@ def selection_rank_weight(fc: FeatureCounts, n_spam: int, n_legit: int) -> float
     return ratio_diff * abs(fc.tf_spam - fc.tf_legit) / tf_total
 
 
-def _top_n(weights: dict[str, float], n: int) -> FeatureSet:
-    """The n terms of highest weight, ties broken by term."""
-    if len(weights) < n:
-        logger.info(
-            "vocabulary %d smaller than requested dimensionality %d",
-            len(weights), n,
-        )
-    ranked = heapq.nsmallest(n, weights, key=lambda t: (-weights[t], t))
-    return FeatureSet(tuple(ranked))
-
-
 def select_top_n(counts: CorpusCounts, n: int) -> FeatureSet:
     """Top-n features by discriminative weight (see `select_top_n_scored`)."""
     if counts.n_spam == 0 or counts.n_legit == 0:
@@ -227,7 +220,13 @@ def select_top_n_scored(scores: dict[str, float], n: int) -> FeatureSet:
     """
     if n < 1:
         raise FeatureError(f"n must be >= 1, got {n}")
-    return _top_n(scores, n)
+    if len(scores) < n:
+        logger.info(
+            "vocabulary %d smaller than requested dimensionality %d",
+            len(scores), n,
+        )
+    ranked = heapq.nsmallest(n, scores, key=lambda t: (-scores[t], t))
+    return FeatureSet(tuple(ranked))
 
 
 def _entropy(probabilities) -> float:
@@ -372,4 +371,4 @@ def update_feature_set(
     replaced = len(additions)
     survivors = sorted(fs_prev.terms, key=lambda t: (weight(t), t))[replaced:]
     merged = {t: weight(t) for t in survivors + additions}
-    return _top_n(merged, len(merged)), replaced
+    return select_top_n_scored(merged, len(merged)), replaced

@@ -17,8 +17,8 @@ import pytest
 from driftfilter import cli, driftloop, features, metrics, svm
 from driftfilter.corpus import load_pu, partition_stream, synth_drift
 from driftfilter.driftloop import (
-    DriftConfig, SessionMode, build_retraining_set, check_validation,
-    evaluate_batch, incremental_retrain, run_batch_phase, run_session,
+    DriftConfig, SessionMode, build_retraining_set, incremental_retrain,
+    run_batch_phase, run_session,
 )
 
 import oracles
@@ -138,57 +138,57 @@ def _acceptance_config():
     )
 
 
-def _replay_incremental(partition, config):
-    """Step the incremental loop manually, capturing per-event internals."""
-    state = run_batch_phase(partition.training, config)
-    events = []
-    batch_accuracies = []
-    seen = len(partition.training.documents)
-    misclassified, history = [], []
-    for k, batch in enumerate(partition.test_batches):
-        record, errors, _, _ = evaluate_batch(state, batch, k)
-        seen += len(batch.documents)
-        batch_accuracies.append(record.accuracy)
-        history.append((record.accuracy, record.fpr))
-        misclassified.extend(errors)
-        if check_validation(history, config) is not None:
-            sv_count = len(state.sv_documents)
-            mcm_size = len(misclassified)
-            rtrem = build_retraining_set(state, misclassified, batch)
-            terms_before = set(state.feature_set.terms)
-            dim_before = len(state.feature_set)
-            state, _ = incremental_retrain(state, rtrem, config)
-            misclassified, history = [], []
-            terms_after = set(state.feature_set.terms)
-            events.append({
-                "batch_index": k,
-                "sv_count_before": sv_count,
-                "mcm_size": mcm_size,
-                "batch_size": len(batch.documents),
-                "rtrem_size": len(rtrem.documents),
-                "added": len(terms_after - terms_before),
-                "removed": len(terms_before - terms_after),
-                "dim_before": dim_before,
-                "dim_after": len(state.feature_set),
-                "terms_after": terms_after,
-                "cumulative_seen": seen,
-            })
-    return events, batch_accuracies
-
-
 @pytest.fixture(scope="module")
 def drift_run():
+    """Both sessions on the acceptance partition. The incremental one runs
+    `run_session` as it is, observed through the two Pass-III steps it
+    calls: the retraining set's parts and size, and the feature sets before
+    and after each update."""
     partition = _acceptance_partition()
     config = _acceptance_config()
+    retrain_sets, updates = [], []
+
+    def observed_build(state, misclassified, batch):
+        rtrem = build_retraining_set(state, misclassified, batch)
+        retrain_sets.append({
+            "sv_count_before": len(state.sv_documents),
+            "mcm_size": len(misclassified),
+            "batch_size": len(batch.documents),
+            "rtrem_size": len(rtrem.documents),
+        })
+        return rtrem
+
+    def observed_retrain(state, rtrem, config):
+        new_state, replaced = incremental_retrain(state, rtrem, config)
+        updates.append((state.feature_set, new_state.feature_set))
+        return new_state, replaced
+
     started = time.monotonic()
     batch_report = run_session(partition, config, SessionMode.BATCH)
-    events, incr_accuracies = _replay_incremental(partition, config)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(driftloop, "build_retraining_set", observed_build)
+        patch.setattr(driftloop, "incremental_retrain", observed_retrain)
+        incr_report = run_session(partition, config, SessionMode.INCREMENTAL)
     elapsed = time.monotonic() - started
+    assert len(retrain_sets) == len(updates) == len(incr_report.events)
+    events = []
+    for event, sizes, (before, after) in zip(incr_report.events, retrain_sets, updates):
+        terms_before, terms_after = set(before.terms), set(after.terms)
+        events.append({
+            **sizes,
+            "replaced": event.replaced_features,
+            "added": len(terms_after - terms_before),
+            "removed": len(terms_before - terms_after),
+            "dim_before": len(before),
+            "dim_after": len(after),
+            "terms_after": terms_after,
+            "cumulative_seen": event.cumulative_seen,
+        })
     return {
         "partition": partition,
         "batch_report": batch_report,
+        "incr_report": incr_report,
         "events": events,
-        "incr_accuracies": incr_accuracies,
         "elapsed": elapsed,
     }
 
@@ -212,13 +212,13 @@ def test_criterion_4_drift_recovery(drift_run):
     post = _post_drift_batches(partition)
     assert post, "no fully post-drift batches"
     batch_acc = [drift_run["batch_report"].batches[k].accuracy for k in post]
-    incr_acc = [drift_run["incr_accuracies"][k] for k in post]
+    incr_acc = [drift_run["incr_report"].batches[k].accuracy for k in post]
     batch_mean = sum(batch_acc) / len(batch_acc)
     incr_mean = sum(incr_acc) / len(incr_acc)
     assert incr_mean - batch_mean >= 0.10, (
         f"post-drift gain {100 * (incr_mean - batch_mean):.1f}pp < 10pp"
     )
-    fractions = [e["added"] / ACCEPTANCE_N for e in events]
+    fractions = [e["replaced"] / ACCEPTANCE_N for e in events]
     for fraction in fractions:
         assert 0.0 < fraction <= 0.25
     assert drift_run["elapsed"] < 60.0
@@ -235,7 +235,7 @@ def test_criterion_5_feature_update_invariants(drift_run):
     assert events
     for event in events:
         assert event["dim_before"] == event["dim_after"] == ACCEPTANCE_N
-        assert event["added"] == event["removed"]
+        assert event["added"] == event["removed"] == event["replaced"]
         assert len(event["terms_after"]) == ACCEPTANCE_N
     print(f"PASS criterion 5: feature-update invariants over "
           f"{len(events)} retrain events")

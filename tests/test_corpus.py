@@ -69,24 +69,42 @@ def _fixpoint_by_loop(word):
     return out
 
 
-class TestStemFixpoint:
+def _term_by_loop(word):
+    def kept(token):
+        return len(token) >= 2 and not token.isdigit() and token not in stopwords()
+    if not kept(word):
+        return ""
+    stem = _fixpoint_by_loop(word)
+    return stem if kept(stem) else ""
+
+
+class TestTermMemo:
     @given(st.text(alphabet=string.ascii_lowercase, min_size=1, max_size=16))
     def test_memo_matches_loop_warm_and_cold(self, word):
-        expected = _fixpoint_by_loop(word)
-        corpus._stem_fixpoint(word)
-        assert corpus._stem_fixpoint(word) == expected
-        corpus._fixpoints.clear()
-        assert corpus._stem_fixpoint(word) == expected
+        expected = _term_by_loop(word)
+        corpus._terms.clear()
+        corpus._terms[word]
+        assert corpus._terms[word] == expected
+        # Every stem the miss stored holds its own term as a word.
+        for key, term in corpus._terms.items():
+            assert term == _term_by_loop(key)
+        corpus._terms.clear()
+        assert corpus._terms[word] == expected
 
     def test_shared_chain_is_memoized(self):
-        # Stems only: the raw word is kept when it is its own stem. The
-        # raw-word memo is emptied too, as the chain also reads it.
-        corpus._fixpoints.clear()
         corpus._terms.clear()
-        assert corpus._stem_fixpoint("agreed") == "agr"
-        assert corpus._fixpoints == {"agre": "agr", "agr": "agr"}
-        assert corpus._stem_fixpoint("offer") == "offer"
-        assert corpus._fixpoints["offer"] == "offer"
+        assert corpus._terms["agreed"] == "agr"
+        assert corpus._terms == {"agreed": "agr", "agre": "agr", "agr": "agr"}
+        assert corpus._terms["offer"] == "offer"
+        assert corpus._terms.get("offer") == "offer"
+
+    def test_dropped_stem_does_not_end_the_walk(self):
+        # "outside" is a stop word, stored as "", yet it stems on to "outsid".
+        corpus._terms.clear()
+        assert corpus._terms["outside"] == ""
+        assert corpus._terms["outsideed"] == "outsid"
+        assert corpus._terms.get("outside") == ""
+        assert corpus._terms.get("outsid") == "outsid"
 
     def test_long_chain_without_recursion(self):
         # One Porter pass strips one "ed", so the chain is deeper than the
@@ -94,18 +112,18 @@ class TestStemFixpoint:
         # chain costs O(depth^2), so it is kept just above the limit.
         depth = sys.getrecursionlimit() + 100
         word = "b" + "ed" * depth
-        corpus._fixpoints.clear()
-        assert corpus._stem_fixpoint(word) == _fixpoint_by_loop(word)
-        assert len(corpus._fixpoints) >= depth - 1  # every stem but the raw word
+        corpus._terms.clear()
+        assert corpus._terms[word] == _term_by_loop(word)
+        assert len(corpus._terms) >= depth  # the raw word and every stem
 
     def test_memo_stays_bounded(self, monkeypatch):
-        monkeypatch.setattr(corpus, "_FIXPOINT_CACHE_SIZE", 8)
-        corpus._fixpoints.clear()
+        monkeypatch.setattr(corpus, "_TERM_CACHE_SIZE", 8)
+        corpus._terms.clear()
         words = [f"{root}{suffix}" for root in ("walk", "agre", "hop", "rel")
                  for suffix in ("ed", "ing", "ational", "s")]
         for word in words + words:
-            assert corpus._stem_fixpoint(word) == _fixpoint_by_loop(word)
-            assert len(corpus._fixpoints) <= 8
+            assert corpus._terms[word] == _term_by_loop(word)
+            assert len(corpus._terms) <= 8
 
 
 # Roots, stop words and digit runs carrying Porter suffixes, some of which

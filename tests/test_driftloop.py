@@ -355,24 +355,25 @@ class TestRunSession:
         high = run_session(partition, small_config(n=60, rho=0.95), SessionMode.BATCH)
         assert low.to_json() == high.to_json()
 
-    def test_feature_dimension_constant_across_generations(self):
+    def test_feature_dimension_constant_across_generations(self, monkeypatch):
         stream = synth_drift(0, vocab_size=160, docs_per_phase=150, overlap=0.2)
         partition = partition_stream(stream, 1 / 3, 5)
         config = small_config(n=80)
-        state = run_batch_phase(partition.training, config)
-        dim0 = len(state.feature_set)
-        misclassified, history = [], []
-        for k, batch in enumerate(partition.test_batches):
-            record, errors, _, _ = evaluate_batch(state, batch, k)
-            history.append((record.accuracy, record.fpr))
-            misclassified.extend(errors)
-            if check_validation(history, config) is not None:
-                rtrem = build_retraining_set(state, misclassified, batch)
-                state, _ = incremental_retrain(state, rtrem, config)
-                misclassified, history = [], []
-                assert len(state.feature_set) == dim0
-                terms = list(state.feature_set.terms)
-                assert len(terms) == len(set(terms))
+        feature_sets = []
+
+        def observed_retrain(state, rtrem, config):
+            new_state, replaced = incremental_retrain(state, rtrem, config)
+            feature_sets.append((state.feature_set, new_state.feature_set))
+            return new_state, replaced
+
+        monkeypatch.setattr(driftloop, "incremental_retrain", observed_retrain)
+        report = run_session(partition, config, SessionMode.INCREMENTAL)
+        assert len(feature_sets) == len(report.events) >= 1
+        dim0 = len(feature_sets[0][0])
+        for _, after in feature_sets:
+            assert len(after) == dim0
+            terms = list(after.terms)
+            assert len(terms) == len(set(terms))
 
     def test_determinism(self):
         stream = synth_drift(4, vocab_size=120, docs_per_phase=100, overlap=0.2)
@@ -601,3 +602,7 @@ class TestDriftConfig:
     def test_feature_dim_at_least_one(self):
         with pytest.raises(DriftLoopError, match="feature_dim must be >= 1, got 0"):
             DriftConfig(feature_dim=0)
+        # Unchecked, 2.5 fails later in heapq and True selects one term.
+        for dim in (2.5, True, "80"):
+            with pytest.raises(DriftLoopError, match="feature_dim must be an int"):
+                DriftConfig(feature_dim=dim)

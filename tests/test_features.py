@@ -385,6 +385,11 @@ class TestSparseVector:
             SparseVector([0, 1], [0.5, 0.0])
         with pytest.raises(FeatureError, match="length"):
             SparseVector([0, 1], [0.5])
+        with pytest.raises(FeatureError, match="positions must be >= 0, got -1"):
+            SparseVector([-1, 0], [1.0, 0.5])
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(FeatureError, match="weights must be finite"):
+                SparseVector([0, 3], [0.5, bad])
 
     def test_arrays_are_read_only(self):
         vec = vectorize(make_doc(0, "spam", ["a"]), TestVectorize()._fs("a"))

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from driftfilter import svm
-from driftfilter.features import SparseVector
+from driftfilter.features import FeatureError, SparseVector
 from driftfilter.svm import (
     ALPHA_EPSILON, SvmError, TrainConfig, _KernelTable, decision_scores, train_smo,
     weight_vector,
@@ -503,6 +503,18 @@ class TestErrors:
     def test_labels_length_mismatch(self):
         with pytest.raises(SvmError, match="vectors and labels length mismatch"):
             train_smo([vec(1.0), vec(2.0)], [1, -1, 1], TrainConfig())
+
+    def test_invalid_entries_never_reach_the_solver(self):
+        # Unchecked, a negative position breaks the column store and aliases
+        # the last feature in the dense form, and a NaN weight runs the
+        # solver to max_passes and scores nan.
+        for positions, weights in (([-1, 0], [1.0, 0.5]), ([0, 1], [math.nan, 0.5])):
+            with pytest.raises(FeatureError):
+                train_smo(
+                    [SparseVector(positions, weights), SparseVector([0, 1], [0.3, -1.0]),
+                     SparseVector([1], [1.0])],
+                    [1, -1, 1], TrainConfig(),
+                )
 
     def test_mixed_feature_sets(self):
         vectors = [vec(1.0, tag="fs-a"), vec(-1.0, tag="fs-b"), vec(0.5)]
