@@ -4,7 +4,6 @@ Subcommands:
   run          run the configured experiment and write result files
   config dump  print the merged, validated configuration
   synth        write a synthetic drift corpus to disk (Enron layout)
-  report       re-render result files from a saved session
 
 Configuration is a plain `key = value` file with `#` comments; command-line
 flags override file values. All outputs are deterministic for a fixed
@@ -66,9 +65,10 @@ class RunConfig:
             raise CliError(f"rho must be in (0,1), got {self.rho}")
         if not 0.0 < self.c < math.inf:
             raise CliError(f"c must be finite and > 0, got {self.c}")
-        # 4 words is the least synth_drift splits into its three pools.
+        # 4 words is the least synth_drift splits into its three pools;
+        # random.Random seeds from |seed|, so -3 would alias 3.
         for key, least in (("n", 1), ("n_batches", 1), ("synth_vocab", 4),
-                           ("synth_docs_per_phase", 1)):
+                           ("synth_docs_per_phase", 1), ("seed", 0)):
             if getattr(self, key) < least:
                 raise CliError(f"{key} must be >= {least}, got {getattr(self, key)}")
         if not 0.0 < self.train_fraction < 1.0:
@@ -318,20 +318,14 @@ def _table_row(name: str, report: driftloop.SessionReport) -> dict:
 
 def _write_roc(report: driftloop.SessionReport, path: Path) -> None:
     """The session's ROC curve, when its truths hold both classes."""
-    if len(set(report.truths)) == 2:
-        points = metrics.roc_points(report.scores, report.truths)
-        metrics.write_roc_tsv(points, path)
+    if report.roc is not None:
+        metrics.write_roc_tsv(report.roc, path)
     else:
         logger.warning("skipping ROC for %s: single-class truths", path.name)
 
 
-def _session_stem(name: str, report: driftloop.SessionReport) -> str:
-    """`<dataset>_<selector>_<mode>`, the stem of a session's output files."""
-    return f"{name}_{report.selector}_{report.mode}"
-
-
 def _emit_session_files(name, report, out_dir: Path) -> None:
-    stem = _session_stem(name, report)
+    stem = f"{name}_{report.selector}_{report.mode}"
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / f"{stem}.session.json").write_text(
         report.to_json() + "\n", encoding="utf-8"
@@ -429,17 +423,6 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def _cmd_report(args) -> int:
-    report = driftloop.SessionReport.from_json(_read_utf8(args.session))
-    out_dir = Path(args.out)
-    stem = Path(args.session).name.removesuffix(".json").removesuffix(".session")
-    dataset = stem.removesuffix(_session_stem("", report))
-    emit_report((_table_row(dataset, report),), out_dir)
-    _write_roc(report, out_dir / f"{_session_stem(dataset, report)}.roc.tsv")
-    print(f"re-rendered {args.session} into {out_dir}")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="driftfilter",
@@ -461,11 +444,6 @@ def build_parser() -> argparse.ArgumentParser:
     synth_parser.add_argument("--out", action=_Text, required=True)
     _add_key_flags(synth_parser, [k for k in _TYPES if k.startswith("synth_")])
     synth_parser.set_defaults(func=_cmd_synth)
-
-    report_parser = sub.add_parser("report", help="re-render a saved session")
-    report_parser.add_argument("--session", action=_Text, required=True)
-    report_parser.add_argument("--out", action=_Text, required=True)
-    report_parser.set_defaults(func=_cmd_report)
     return parser
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import logging
-import math
 from dataclasses import dataclass, field, fields
 from enum import Enum
 
@@ -209,7 +208,7 @@ def incremental_retrain(
     return _generation(rtrem.documents, fs_new, config), replaced
 
 
-SESSION_FORMAT = "driftfilter-session-1"
+SESSION_FORMAT = "driftfilter-session-2"
 
 
 def _json_value(obj):
@@ -223,7 +222,13 @@ def _json_value(obj):
 @dataclass(frozen=True)
 class SessionReport:
     """A session's outcome; `to_json` writes its fields as they are, so these
-    dataclasses are the session file's schema."""
+    dataclasses are the session file's schema.
+
+    `roc` holds the (fpr, tpr) points of the scores each test batch got when
+    first classified, or None when its truths hold one class. An incremental
+    session's ROC pools the scores of several generations' models, whose
+    scales differ.
+    """
 
     mode: str
     selector: str
@@ -234,50 +239,11 @@ class SessionReport:
     avg_fnr: float | None
     partition_checksum: str
     halted: str | None
-    scores: tuple[float, ...]
-    truths: tuple[int, ...]
+    roc: tuple[tuple[float, float], ...] | None
 
     def to_json(self) -> str:
         payload = {"format": SESSION_FORMAT, **_json_value(self)}
         return json.dumps(payload, sort_keys=True, default=_json_value)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SessionReport":
-        try:
-            payload = json.loads(text)
-            found = payload.pop("format", None)
-            if found != SESSION_FORMAT:
-                raise DriftLoopError(f"unrecognized session format: {found!r}")
-            # Both name the session's output files, so neither may be arbitrary.
-            for key, known in (("mode", tuple(m.value for m in SessionMode)),
-                               ("selector", features.SELECTORS)):
-                if payload[key] not in known:
-                    raise DriftLoopError(
-                        f"session {key} must be one of {known}, got {payload[key]!r}"
-                    )
-            # `report` renders the ROC from these, so they must be checked first.
-            scores, truths = payload["scores"], payload["truths"]
-            if len(scores) != len(truths):
-                raise DriftLoopError(f"session has {len(scores)} scores, {len(truths)} truths")
-            for score in scores:
-                if type(score) not in (int, float) or not math.isfinite(score):
-                    raise DriftLoopError(f"session score must be finite, got {score!r}")
-            for truth in truths:
-                if type(truth) is not int or truth not in (1, -1):
-                    raise DriftLoopError(f"session truth must be 1 or -1, got {truth!r}")
-            return cls(**{
-                **payload,
-                "batches": tuple(BatchRecord(**b) for b in payload["batches"]),
-                "events": tuple(
-                    RetrainEvent(**{**e, "cause": TriggerCause(e["cause"])})
-                    for e in payload["events"]
-                ),
-                "final": metrics.MetricsReport(**payload["final"]),
-                "scores": tuple(payload["scores"]),
-                "truths": tuple(payload["truths"]),
-            })
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            raise DriftLoopError(f"malformed session report: {exc!r}") from None
 
 
 def partition_checksum(partition: StreamPartition) -> str:
@@ -353,6 +319,9 @@ def run_session(
                     pre_accuracy=record.accuracy,
                     post_accuracy=post.accuracy,
                 ))
+    roc = None
+    if len(set(all_truths)) == 2:
+        roc = tuple(metrics.roc_points(all_scores, all_truths))
     total = metrics.ConfusionMatrix(
         tp=sum(r.tp for r in records), tn=sum(r.tn for r in records),
         fp=sum(r.fp for r in records), fn=sum(r.fn for r in records),
@@ -367,6 +336,5 @@ def run_session(
         avg_fnr=_mean_or_none([r.fnr for r in records]),
         partition_checksum=partition_checksum(partition),
         halted=halted,
-        scores=tuple(all_scores),
-        truths=tuple(all_truths),
+        roc=roc,
     )

@@ -70,6 +70,23 @@ class TestParseConfig:
         with pytest.raises(CliError, match="n must be"):
             parse_config(None, {"n": 0})
 
+    @pytest.mark.parametrize("source", ["file", "override"])
+    def test_negative_seed_rejected(self, tmp_path, source):
+        # random.Random seeds from |seed|: a negative seed would silently run
+        # the stream of its absolute value.
+        assert synth_drift(-3, vocab_size=40, docs_per_phase=6) == synth_drift(
+            3, vocab_size=40, docs_per_phase=6
+        )
+        path, overrides = None, {"seed": -3}
+        if source == "file":
+            path, overrides = tmp_path / "run.conf", {}
+            path.write_text("format = synth\nseed = -3\n", encoding="utf-8")
+        with pytest.raises(CliError, match="^seed must be >= 0, got -3$"):
+            parse_config(path, overrides)
+
+    def test_seed_zero_is_the_least(self):
+        assert parse_config(None, {"seed": 0}).seed == 0
+
     def test_unknown_keys_of_file_and_overrides_are_one_error(self, tmp_path):
         path = tmp_path / "run.conf"
         path.write_text("zeta = 1\nrho = high\n", encoding="utf-8")
@@ -118,6 +135,7 @@ _RANGED = {
     "synth_overlap": st.floats(0.0, 1.0),
     "synth_vocab": st.integers(min_value=4),
     "synth_docs_per_phase": st.integers(min_value=1),
+    "seed": st.integers(min_value=0),
 }
 _BY_TYPE = {
     int: st.integers(),
@@ -424,6 +442,44 @@ class TestCliCommands:
                 else:
                     assert cell == str(value)
 
+    @pytest.mark.parametrize("experiment, sessions", [
+        ("single", 1), ("1", len(features.SELECTORS)), ("2", 2),
+    ])
+    def test_session_file_is_the_record(self, tmp_path, experiment, sessions):
+        # The session file holds the ROC points that the `.roc.tsv` table
+        # shows and the final measures of its results row; nothing reads
+        # it back, so no subcommand does.
+        out = tmp_path / "out"
+        assert cli.main([
+            "run", "--format", "synth", "--synth-vocab", "120",
+            "--synth-docs-per-phase", "80", "--n", "40", "--n-batches", "3",
+            "--seed", "2", "--experiment", experiment, "--output-dir", str(out),
+        ]) == 0
+        with open(out / "results.csv", newline="", encoding="utf-8") as handle:
+            rows = list(csv.DictReader(handle))
+        assert len(rows) == sessions
+        assert len(list(out.glob("*.session.json"))) == sessions
+        for row in rows:
+            stem = f"synth_{row['selector']}_{row['mode']}"
+            session = json.loads((out / f"{stem}.session.json").read_text(encoding="utf-8"))
+            assert session["format"] == driftloop.SESSION_FORMAT
+            assert "scores" not in session and "truths" not in session
+            with open(out / f"{stem}.roc.tsv", encoding="utf-8") as handle:
+                lines = handle.read().splitlines()
+            assert lines[0] == "fpr\ttpr"
+            points = [[float(v) for v in line.split("\t")] for line in lines[1:]]
+            assert session["roc"] == points
+            for measure in ("accuracy", "mcc", "micro_f1", "macro_f1"):
+                assert session["final"][measure] == float(row[measure])
+            assert (session["selector"], session["mode"]) == (row["selector"], row["mode"])
+            assert len(session["events"]) == int(row["retrains"])
+            assert session["partition_checksum"] == row["partition_checksum"]
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["report", "--session", str(out / f"{stem}.session.json"),
+                      "--out", str(tmp_path / "rendered")])
+        assert exit_info.value.code == 2
+        assert not (tmp_path / "rendered").exists()
+
     def test_config_dump_subcommand(self, capsys, tmp_path):
         path = tmp_path / "run.conf"
         path.write_text("format = synth\nrho = 0.8\n", encoding="utf-8")
@@ -432,50 +488,13 @@ class TestCliCommands:
         out = capsys.readouterr().out
         assert "rho = 0.7" in out
 
-    def test_report_rerenders_session(self, tmp_path):
-        out = tmp_path / "out"
-        assert cli.main([
-            "run", "--format", "synth", "--synth-vocab", "120",
-            "--synth-docs-per-phase", "80", "--n", "40", "--n-batches", "3",
-            "--seed", "2", "--output-dir", str(out),
-        ]) == 0
-        session = out / "synth_tfdcr_batch.session.json"
-        rendered = tmp_path / "rendered"
-        assert cli.main([
-            "report", "--session", str(session), "--out", str(rendered),
-        ]) == 0
-        assert (rendered / "results.csv").exists()
-        assert (rendered / "results.json").exists()
-
-    @pytest.mark.parametrize("key, value", (
-        ("mode", "nonsense"), ("selector", "bogus"), ("selector", "/../../escaped"),
-    ))
-    def test_report_rejects_an_unknown_selector_or_mode(
-        self, capsys, tmp_path, key, value
-    ):
-        out = tmp_path / "out"
-        assert cli.main([
-            "run", "--format", "synth", "--synth-vocab", "120",
-            "--synth-docs-per-phase", "80", "--n", "40", "--n-batches", "3",
-            "--output-dir", str(out),
-        ]) == 0
-        session = tmp_path / "odd.session.json"
-        payload = json.loads(
-            (out / "synth_tfdcr_batch.session.json").read_text(encoding="utf-8")
-        )
-        session.write_text(json.dumps({**payload, key: value}), encoding="utf-8")
-        capsys.readouterr()
-        rendered = tmp_path / "a" / "b" / "rendered"
-        (rendered / "odd_").mkdir(parents=True)
-        assert cli.main(["report", "--session", str(session), "--out", str(rendered)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: session {key} must be one of")
-        assert err.count("\n") == 1
-        # Nothing is written, inside `--out` or above it.
-        written = sorted(
-            p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*") if p.is_file()
-        )
-        assert written == sorted([session.name] + [f"out/{p.name}" for p in out.iterdir()])
+    def test_help_lists_the_subcommands(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["--help"])
+        assert exit_info.value.code == 0
+        out = capsys.readouterr().out
+        assert "{run,config,synth}" in out
+        assert "report" not in out
 
     def test_help_lists_the_choices(self, capsys):
         with pytest.raises(SystemExit):
@@ -515,7 +534,6 @@ class TestCliCommands:
         for name, data in (
             ("latin1.conf", b"seed = \xff\n"),
             ("latin1.manifest", b"a synth unused\n\xfe\n"),
-            ("latin1.session.json", b'{"format": "\xff"}\n'),
             ("choice.conf", b"selector = bayes\n"),
             ("chronological.conf", b"chronological = true\n"),
             ("drift_point.conf", b"synth_drift_point = 500\n"),
@@ -525,34 +543,6 @@ class TestCliCommands:
             ("mixed.dat", b"1 10:1\n-1 20:1\n"),
         ):
             (inputs / name).write_bytes(data)
-        # Sessions whose scores and truths cannot make a ROC, edited from a real one.
-        assert cli.main([
-            "run", "--format", "synth", "--synth-vocab", "120",
-            "--synth-docs-per-phase", "80", "--n", "40", "--n-batches", "3",
-            "--output-dir", str(inputs / "run"),
-        ]) == 0
-        capsys.readouterr()
-        payload = json.loads(
-            (inputs / "run" / "synth_tfdcr_batch.session.json").read_text(encoding="utf-8")
-        )
-        scores, truths = payload["scores"], payload["truths"]
-        for name, edited in (
-            ("text_score", {"scores": ["x"] + scores[1:]}),
-            ("bool_score", {"scores": [True] + scores[1:]}),
-            ("nan_score", {"scores": [math.nan] + scores[1:]}),
-            ("short_scores", {"scores": scores[:-1]}),
-            ("truth_two", {"truths": [2] + truths[1:]}),
-            ("bool_truth", {"truths": [True] + truths[1:]}),
-            # A retrain event names the criterion that fired it.
-            ("none_cause", {"events": [{
-                "batch_index": 0, "generation": 1, "cause": "none",
-                "replaced_features": 0, "retrain_size": 1, "cumulative_seen": 1,
-                "pre_accuracy": 0.5, "post_accuracy": 0.5,
-            }]}),
-        ):
-            (inputs / f"{name}.session.json").write_text(
-                json.dumps({**payload, **edited}), encoding="utf-8"
-            )
         monkeypatch.chdir(tmp_path)
         for argv, named in (
             (["run", "--format", "enron", "--dataset", "/nonexistent"], "/nonexistent"),
@@ -587,23 +577,6 @@ class TestCliCommands:
              f"{inputs / 'latin1.conf'}: not UTF-8 text"),
             (["run", "--manifest", str(inputs / "latin1.manifest")],
              f"{inputs / 'latin1.manifest'}: not UTF-8 text"),
-            (["report", "--session", str(inputs / "latin1.session.json"), "--out", "out"],
-             f"{inputs / 'latin1.session.json'}: not UTF-8 text"),
-            # A session is checked before any result file is written.
-            (["report", "--session", str(inputs / "text_score.session.json"), "--out", "out"],
-             "session score must be finite, got 'x'"),
-            (["report", "--session", str(inputs / "bool_score.session.json"), "--out", "out"],
-             "session score must be finite, got True"),
-            (["report", "--session", str(inputs / "nan_score.session.json"), "--out", "out"],
-             "session score must be finite, got nan"),
-            (["report", "--session", str(inputs / "short_scores.session.json"), "--out", "out"],
-             f"session has {len(scores) - 1} scores, {len(truths)} truths"),
-            (["report", "--session", str(inputs / "truth_two.session.json"), "--out", "out"],
-             "session truth must be 1 or -1, got 2"),
-            (["report", "--session", str(inputs / "bool_truth.session.json"), "--out", "out"],
-             "session truth must be 1 or -1, got True"),
-            (["report", "--session", str(inputs / "none_cause.session.json"), "--out", "out"],
-             "'none' is not a valid TriggerCause"),
             # Range checks of RunConfig.validate; `config dump` reads no data.
             (["config", "dump", "--train-fraction", "1.5"], "train_fraction must be"),
             (["config", "dump", "--n-batches", "0"], "n_batches must be"),
@@ -611,6 +584,7 @@ class TestCliCommands:
             (["config", "dump", "--synth-vocab", "3"], "synth_vocab must be >= 4"),
             (["config", "dump", "--synth-docs-per-phase", "0"],
              "synth_docs_per_phase must be >= 1"),
+            (["config", "dump", "--seed", "-1"], "seed must be >= 0, got -1"),
             # A flag's value is text, checked as the same value in a file is.
             (["config", "dump", "--config", str(inputs / "choice.conf")],
              "selector must be one of"),
@@ -646,27 +620,22 @@ class TestCliCommands:
         # A run that fails before its first result leaves no output directory.
         assert list(tmp_path.iterdir()) == []
 
-    def test_single_class_test_stream_skips_the_roc(self, caplog, tmp_path):
-        # Every test mail is spam, so no ROC curve exists; the run and a
-        # re-rendering of its session still succeed, without a ROC file.
+    @pytest.mark.parametrize("label", ["1", "-1"], ids=["spam", "legit"])
+    def test_single_class_test_stream_skips_the_roc(self, caplog, tmp_path, label):
+        # Every test mail is of one class, so no ROC curve exists; the run
+        # still succeeds, without a ROC file, and its session records none.
         train, test = tmp_path / "train.dat", tmp_path / "test.dat"
         train.write_text("1 10:2 11:1\n-1 20:2 21:1\n" * 6, encoding="utf-8")
-        test.write_text("1 10:1\n1 11:1 20:1\n" * 3, encoding="utf-8")
-        out, rendered = tmp_path / "out", tmp_path / "rendered"
+        test.write_text(f"{label} 10:1\n{label} 11:1 20:1\n" * 3, encoding="utf-8")
+        out = tmp_path / "out"
         assert cli.main([
             "run", "--format", "ecml", "--dataset", str(train), "--test-path", str(test),
             "--n", "4", "--n-batches", "2", "--output-dir", str(out),
         ]) == 0
         session = out / "train_tfdcr_batch.session.json"
-        assert json.loads(session.read_text(encoding="utf-8"))["truths"] == [1] * 6
+        assert json.loads(session.read_text(encoding="utf-8"))["roc"] is None
         assert sorted(p.name for p in out.iterdir()) == [
             "results.csv", "results.json", session.name,
-        ]
-        assert "skipping ROC for train_tfdcr_batch.roc.tsv" in caplog.text
-        caplog.clear()
-        assert cli.main(["report", "--session", str(session), "--out", str(rendered)]) == 0
-        assert sorted(p.name for p in rendered.iterdir()) == [
-            "results.csv", "results.json",
         ]
         assert "skipping ROC for train_tfdcr_batch.roc.tsv" in caplog.text
 
@@ -700,23 +669,6 @@ class TestByteOrderMark:
         assert (out / "bom_tfdcr_batch.roc.tsv").exists()
         with open(out / "results.csv", newline="", encoding="utf-8") as handle:
             assert [row["dataset"] for row in csv.DictReader(handle)] == ["bom"]
-
-    def test_session_file(self, tmp_path):
-        out = tmp_path / "out"
-        assert cli.main([
-            "run", "--format", "synth", "--synth-vocab", "120",
-            "--synth-docs-per-phase", "80", "--n", "40", "--n-batches", "3",
-            "--seed", "2", "--output-dir", str(out),
-        ]) == 0
-        name = "synth_tfdcr_batch.session.json"
-        marked = tmp_path / "marked" / name
-        marked.parent.mkdir()
-        marked.write_bytes(b"\xef\xbb\xbf" + (out / name).read_bytes())
-        rendered = tmp_path / "rendered"
-        assert cli.main(["report", "--session", str(marked), "--out", str(rendered)]) == 0
-        for result in ("results.csv", "results.json", "synth_tfdcr_batch.roc.tsv"):
-            assert (rendered / result).read_bytes() == (out / result).read_bytes()
-
 
 class TestBuildPartition:
     def test_ecml_two_file_binding(self, tmp_path):

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from driftfilter import cli, driftloop, features, svm
+from driftfilter import cli, driftloop, features, metrics, svm
 from driftfilter.corpus import (
     TERMS, Document, Label, LabeledCorpus, StreamPartition, partition_stream,
     synth_drift,
@@ -250,6 +250,22 @@ class TestIncrementalRetrain:
         assert {d.id for d in new_state.sv_documents} <= rtrem_ids
 
 
+def scored_session(monkeypatch, *args):
+    """`run_session(*args)`, and {batch index: (scores, truths)} of each
+    batch's first `evaluate_batch` call, not the re-evaluation after a retrain."""
+    first = {}
+    evaluate = driftloop.evaluate_batch
+
+    def recording(state, batch, index=0):
+        result = evaluate(state, batch, index)
+        first.setdefault(index, result[2:])
+        return result
+
+    with monkeypatch.context() as patch:
+        patch.setattr(driftloop, "evaluate_batch", recording)
+        return run_session(*args), first
+
+
 class TestRunSession:
     def test_no_drift_no_retrain_and_reports_match(self):
         stream = synth_drift(1, vocab_size=120, docs_per_phase=120, overlap=1.0)
@@ -260,7 +276,7 @@ class TestRunSession:
         assert incr_report.events == ()
         assert batch_report.batches == incr_report.batches
         assert batch_report.final == incr_report.final
-        assert batch_report.scores == incr_report.scores
+        assert batch_report.roc == incr_report.roc
 
     def test_drift_stream_recovers(self):
         stream = synth_drift(0, vocab_size=160, docs_per_phase=150, overlap=0.2)
@@ -274,6 +290,25 @@ class TestRunSession:
             assert event.post_accuracy > event.pre_accuracy
             assert 0 < event.replaced_features
             assert event.retrain_size < event.cumulative_seen
+
+    @pytest.mark.parametrize("seed", [0, 4])
+    @pytest.mark.parametrize("mode", [SessionMode.BATCH, SessionMode.INCREMENTAL])
+    def test_roc_pools_each_batchs_first_scores(self, monkeypatch, mode, seed):
+        # A session's ROC pools the scores that each batch got from the model
+        # of its generation, before any retrain on it; a batch session has
+        # one generation, an incremental one on this stream several.
+        stream = synth_drift(seed, vocab_size=160, docs_per_phase=150, overlap=0.2)
+        partition = partition_stream(stream, 1 / 3, 5)
+        report, first = scored_session(monkeypatch, partition, small_config(n=80), mode)
+        assert bool(report.events) == (mode is SessionMode.INCREMENTAL)
+        assert sorted(first) == list(range(len(partition.test_batches)))
+        scores = [s for k in sorted(first) for s in first[k][0]]
+        truths = [t for k in sorted(first) for t in first[k][1]]
+        assert report.roc == tuple(metrics.roc_points(scores, truths))
+        assert (report.roc[0], report.roc[-1]) == ((0.0, 0.0), (1.0, 1.0))
+        for (fpr, tpr), (next_fpr, next_tpr) in zip(report.roc, report.roc[1:]):
+            assert fpr <= next_fpr and tpr <= next_tpr
+        assert json.loads(report.to_json())["roc"] == [list(p) for p in report.roc]
 
     def test_cumulative_seen_counts_through_the_violating_batch(self):
         stream = synth_drift(0, vocab_size=160, docs_per_phase=150, overlap=0.2)
@@ -301,13 +336,14 @@ class TestRunSession:
             return rtrem
 
         monkeypatch.setattr(driftloop, "build_retraining_set", recording)
-        report = run_session(partition, small_config(n=80), SessionMode.INCREMENTAL)
+        report, first = scored_session(
+            monkeypatch, partition, small_config(n=80), SessionMode.INCREMENTAL
+        )
         # Per batch, the ids of the mail its score put in the wrong class.
-        wrong, pos = [], 0
-        for batch in partition.test_batches:
-            outcomes = zip(batch.documents, report.scores[pos:], report.truths[pos:])
+        wrong = []
+        for k, batch in enumerate(partition.test_batches):
+            outcomes = zip(batch.documents, *first[k])
             wrong.append({d.id for d, s, t in outcomes if (s > 0) != (t == 1)})
-            pos += len(batch)
         assert len(calls) == len(report.events)
         start = earlier = stale = 0
         for (state, batch, rtrem), event in zip(calls, report.events):
@@ -343,7 +379,8 @@ class TestRunSession:
         assert len(report.batches) == 1  # the session stops at the halt
         assert report.batches[0].fn == 4
         assert report.events == ()
-        assert len(report.scores) == 4
+        # Only the all-spam batch was scored, so there is no ROC.
+        assert report.roc is None
         row = cli._table_row("synth", report)
         assert row["halted"] == report.halted
         assert row["retrains"] == 0
@@ -394,7 +431,7 @@ class TestRunSession:
         assert state == run_batch_phase(partition.training, config)
 
     @pytest.mark.parametrize("selector", ["tfdcr", "chi"])
-    def test_reports_do_not_depend_on_interning_order(self, selector):
+    def test_reports_do_not_depend_on_interning_order(self, monkeypatch, selector):
         # Two copies of one stream whose terms differ only by a fresh prefix
         # of equal length, so every (weight, term) sort orders them alike.
         # The first copy is interned as the session meets its tokens; the
@@ -410,7 +447,7 @@ class TestRunSession:
                 for d in stream.documents
             ))
 
-        reports = []
+        reports, scores = [], []
         for shuffled in (False, True):
             prefix = uuid.uuid4().hex + "-"
             copy = renamed(prefix)
@@ -422,8 +459,13 @@ class TestRunSession:
                 first_seen = list(dict.fromkeys(t for d in copy.documents for t in d.tokens))
                 assert sorted(first_seen, key=TERMS.ids.__getitem__) != first_seen
             partition = partition_stream(copy, 1 / 3, 5)
-            reports.append(run_session(partition, config, SessionMode.INCREMENTAL))
+            report, first = scored_session(
+                monkeypatch, partition, config, SessionMode.INCREMENTAL
+            )
+            reports.append(report)
+            scores.append(first)
         assert reports[0].events
+        assert scores[0] == scores[1]
         # The checksum digests the tokens, which carry different prefixes.
         assert reports[0].partition_checksum != reports[1].partition_checksum
         same = [replace(r, partition_checksum="").to_json() for r in reports]
@@ -446,7 +488,7 @@ class TestRunSession:
     ], ids=["double_tokens", "prefix_terms", "rename_ids"])
     @pytest.mark.parametrize("seed", [3, 11])
     @pytest.mark.parametrize("kernel, gamma", [("linear", None), ("rbf", 0.5)])
-    def test_transform_keeps_the_report(self, transform, seed, kernel, gamma):
+    def test_transform_keeps_the_report(self, monkeypatch, transform, seed, kernel, gamma):
         stream = synth_drift(seed, vocab_size=200, docs_per_phase=300)
         transformed = LabeledCorpus(tuple(map(transform, stream.documents)))
         config = DriftConfig(
@@ -454,10 +496,11 @@ class TestRunSession:
             train_config=svm.TrainConfig(C=1.0, kernel=kernel, gamma=gamma),
         )
         for mode in (SessionMode.BATCH, SessionMode.INCREMENTAL):
-            reports = [
-                run_session(partition_stream(s, 1 / 3, 6), config, mode)
+            reports, scores = zip(*(
+                scored_session(monkeypatch, partition_stream(s, 1 / 3, 6), config, mode)
                 for s in (stream, transformed)
-            ]
+            ))
+            assert scores[0] == scores[1]
             if mode is SessionMode.INCREMENTAL:
                 assert reports[0].events
             assert reports[0].partition_checksum != reports[1].partition_checksum
@@ -466,7 +509,7 @@ class TestRunSession:
 
     @pytest.mark.parametrize("seed", [3, 11])
     @pytest.mark.parametrize("kernel, gamma", [("linear", None), ("rbf", 0.5)])
-    def test_unseen_test_term_keeps_the_batch_report(self, seed, kernel, gamma):
+    def test_unseen_test_term_keeps_the_batch_report(self, monkeypatch, seed, kernel, gamma):
         # A term that no training document holds is in no Pass-I feature set,
         # and batch mode never reselects, so adding it to every test document
         # changes no vector.
@@ -484,7 +527,11 @@ class TestRunSession:
             rho=0.9, feature_dim=60,
             train_config=svm.TrainConfig(C=1.0, kernel=kernel, gamma=gamma),
         )
-        reports = [run_session(p, config, SessionMode.BATCH) for p in (partition, extended)]
+        reports, scores = zip(*(
+            scored_session(monkeypatch, p, config, SessionMode.BATCH)
+            for p in (partition, extended)
+        ))
+        assert scores[0] == scores[1]
         assert reports[0].partition_checksum != reports[1].partition_checksum
         same = [replace(r, partition_checksum="").to_json() for r in reports]
         assert same[0] == same[1]
@@ -531,36 +578,27 @@ class TestRunSession:
                 assert (record.tn, record.fn, record.fnr) == (other.tp, other.fp, other.fpr)
 
     def test_report_round_trip(self):
+        # The session file loses nothing: its JSON rebuilds the report, and
+        # the rebuilt report writes the same text.
         stream = synth_drift(4, vocab_size=120, docs_per_phase=100, overlap=0.2)
         partition = partition_stream(stream, 1 / 3, 4)
         report = run_session(partition, small_config(n=60), SessionMode.INCREMENTAL)
+        assert report.events
         text = report.to_json()
-        restored = driftloop.SessionReport.from_json(text)
+        payload = json.loads(text)
+        assert payload.pop("format") == driftloop.SESSION_FORMAT
+        restored = driftloop.SessionReport(**{
+            **payload,
+            "batches": tuple(driftloop.BatchRecord(**b) for b in payload["batches"]),
+            "events": tuple(
+                driftloop.RetrainEvent(**{**e, "cause": TriggerCause(e["cause"])})
+                for e in payload["events"]
+            ),
+            "final": metrics.MetricsReport(**payload["final"]),
+            "roc": tuple(tuple(point) for point in payload["roc"]),
+        })
         assert restored == report
         assert restored.to_json() == text
-
-    def test_unknown_session_format_rejected(self):
-        with pytest.raises(DriftLoopError, match="session format"):
-            driftloop.SessionReport.from_json('{"format": "something-else"}')
-
-    @pytest.mark.parametrize("edit", [
-        lambda p: p.pop("final"),
-        lambda p: p.update(extra=1),
-        lambda p: p["events"].append({"cause": "no-such-cause"}),
-    ], ids=["missing", "unknown", "ill_typed"])
-    def test_malformed_session_rejected(self, edit):
-        stream = synth_drift(4, vocab_size=120, docs_per_phase=100, overlap=0.2)
-        partition = partition_stream(stream, 1 / 3, 4)
-        payload = json.loads(run_session(partition, small_config(n=60),
-                                         SessionMode.BATCH).to_json())
-        edit(payload)
-        with pytest.raises(DriftLoopError, match="malformed session report"):
-            driftloop.SessionReport.from_json(json.dumps(payload))
-
-    @pytest.mark.parametrize("text", ["not json", "[1]", '"text"'])
-    def test_unreadable_session_rejected(self, text):
-        with pytest.raises(DriftLoopError, match="malformed session report"):
-            driftloop.SessionReport.from_json(text)
 
 
 class TestPartitionChecksum:

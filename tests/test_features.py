@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from driftfilter import features
-from driftfilter.corpus import Label, LabeledCorpus
+from driftfilter.corpus import Document, Label, LabeledCorpus
 from driftfilter.features import (
     CorpusCounts, FeatureCounts, FeatureError, FeatureSet, SparseVector,
     baseline_score, count_stats, select_top_n, select_top_n_scored,
@@ -225,6 +225,40 @@ class TestSelectTopN:
                 wk = tfdcr_weight(statsk.counts[term], statsk.n_spam, statsk.n_legit)
                 if w1:
                     assert abs(wk / w1 - k) <= 1e-12
+
+
+class TestDocumentDoubling:
+    def test_doubling_every_document(self):
+        # A copy of every document, under a fresh id, doubles each count and
+        # both class sizes. Each relation below is exact in binary: the
+        # ratios are unchanged, and a weight or score gains a power of two.
+        # TFDCR doubles a shared term's weight but quadruples a
+        # class-exclusive term's, whose zero df is replaced by the constant
+        # 0.5 while the other factors double; the baselines read only df
+        # ratios, and chi also scales with N.
+        rng = random.Random(26)
+        seen = Counter()
+        for _ in range(30):
+            single = random_corpus(rng, max_docs=20, max_terms=30)
+            n = len(single.documents)
+            doubled = LabeledCorpus(single.documents + tuple(
+                Document(f"copy-{d.id}", d.label, d.tokens, d.arrival_index + n)
+                for d in single.documents
+            ))
+            once, twice = count_stats(single), count_stats(doubled)
+            assert (twice.n_spam, twice.n_legit) == (2 * once.n_spam, 2 * once.n_legit)
+            for term, fc in once.counts.items():
+                exclusive = fc.df_spam == 0 or fc.df_legit == 0
+                seen[exclusive] += 1
+                factor = 4 if exclusive else 2
+                assert tfdcr_weight(twice.counts[term], twice.n_spam, twice.n_legit) == (
+                    factor * tfdcr_weight(fc, once.n_spam, once.n_legit)
+                )
+            for method in ("ig", "gini", "igr", "cfs"):
+                assert baseline_score(method, twice) == baseline_score(method, once)
+            chi = baseline_score("chi", once)
+            assert baseline_score("chi", twice) == {t: 2 * v for t, v in chi.items()}
+        assert seen[True] and seen[False]
 
 
 class TestSelectionRankWeight:

@@ -18,8 +18,7 @@ inputs:
 - experiments 1 and 2 on a manifest listing a PU directory, a two-file ecml
   dataset and a one-file ecml dataset;
 - experiment 2 with `--c 1e-12` on a two-file ecml dataset whose test batches
-  are all spam, then all legitimate, so that the incremental session halts;
-- `report` over every session file the runs above wrote.
+  are all spam, then all legitimate, so that the incremental session halts.
 
 Every input is written once, under `--work` (default: a temporary directory,
 removed afterwards), and shared by both trees. The two output directories
@@ -196,15 +195,10 @@ def cli(tree: Path, argv: list[str], cwd: Path) -> None:
                         f"{proc.returncode}:\n{proc.stderr[-2000:]}")
 
 
-def run_tree(tree: Path, runs, out: Path) -> int:
-    """Every run, then `report` on every session file; returns the report count."""
+def run_tree(tree: Path, runs, out: Path) -> None:
+    """Every run, each into its own output directory under `out`."""
     for name, argv in runs:
         cli(tree, ["run", *argv, "--output-dir", str(out / name)], out)
-    sessions = sorted(out.glob("*/*.session.json"))
-    for session in sessions:
-        target = out / "report" / session.parent.name / session.name
-        cli(tree, ["report", "--session", str(session), "--out", str(target)], out)
-    return len(sessions)
 
 
 def first_difference(old: bytes, new: bytes) -> str:
@@ -363,14 +357,14 @@ def main(argv=None) -> int:
             for label, tree in (("old", old_tree), ("new", new_tree)):
                 out = work / label
                 out.mkdir(exist_ok=False)
-                reports = run_tree(tree, runs, out)
+                run_tree(tree, runs, out)
                 outputs.append(out)
         except (TreeError, FileExistsError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         compared, differing = compare(*outputs)
-    print(f"{len(runs)} runs and {reports} reports per tree; {compared} files "
-          f"compared, {differing} differ ({old_tree} vs {new_tree})")
+    print(f"{len(runs)} runs per tree; {compared} files compared, "
+          f"{differing} differ ({old_tree} vs {new_tree})")
     return 1 if differing else 0
 
 
