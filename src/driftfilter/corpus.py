@@ -7,7 +7,7 @@ import logging
 import math
 import random
 import string
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cache, cached_property
 from importlib import resources
@@ -47,7 +47,7 @@ class TermTable:
     Ids are lookup keys only: feature positions come from a feature set's
     order and every selection sorts by (weight, term), so no result depends
     on the order in which terms were interned. Entries are never removed,
-    because cached `Document.term_ids` arrays keep referring to them.
+    because every `Document` holds the ids of its tokens.
     Interning is not safe from several threads at once.
     """
 
@@ -80,23 +80,25 @@ class TermTable:
 TERMS = TermTable()  # the process-wide table behind every Document.term_ids
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Document:
     """One e-mail: label plus its post-preprocessing token sequence.
 
     Tokens are kept (rather than a fixed vector) so the document can be
-    re-vectorized under any later feature set.
+    re-vectorized under any later feature set. `term_ids` holds the tokens
+    as `TERMS` ids, in token order; they are interned when the document is
+    built, so `dataclasses.replace` recomputes them, and they take no part
+    in equality or hashing.
     """
 
     id: str
     label: Label
     tokens: tuple[str, ...]
     arrival_index: int
+    term_ids: np.ndarray = field(init=False, repr=False, compare=False)
 
-    @cached_property
-    def term_ids(self) -> np.ndarray:
-        """The tokens as `TERMS` ids, in token order (interned on first use)."""
-        return TERMS.intern(self.tokens)
+    def __post_init__(self):
+        object.__setattr__(self, "term_ids", TERMS.intern(self.tokens))
 
 
 @dataclass(frozen=True)
@@ -173,8 +175,8 @@ def _words(raw_text: str) -> list[str]:
             .decode("ascii").split())
 
 
-# Bound on the memo: above one large corpus's distinct words and stems, so a
-# run never evicts, yet finite in a process that loads corpus after corpus.
+# Bound on the memo within one load: above one large corpus's distinct words
+# and stems, so a load never evicts, yet finite for a larger one.
 _TERM_CACHE_SIZE = 1 << 16
 
 
@@ -195,7 +197,7 @@ class _TermMemo(dict):
     outside, a stop word, -> outsid). A loop, not recursion, because a chain
     can be as long as the word. A miss interns the term in `TERMS`, so a hit
     costs one dict lookup and documents intern on the fast path. Emptied
-    when full.
+    when full, and when a load ends: nothing after a load reads its words.
     """
 
     def __missing__(self, word: str) -> str:
@@ -240,16 +242,19 @@ def _read_documents(entries) -> LabeledCorpus:
     """Read and preprocess `(id, label, path)` entries, given in arrival order.
 
     Unreadable files are skipped with a warning; arrival_index is the rank
-    among the files kept.
+    among the files kept. The word memo is emptied when the load ends.
     """
     docs = []
-    for doc_id, label, path in entries:
-        try:
-            text = path.read_text(encoding="utf-8", errors="replace")
-        except OSError as exc:
-            logger.warning("skipping unreadable file %s: %s", path, exc)
-            continue
-        docs.append(Document(doc_id, label, tuple(preprocess_text(text)), len(docs)))
+    try:
+        for doc_id, label, path in entries:
+            try:
+                text = path.read_text(encoding="utf-8", errors="replace")
+            except OSError as exc:
+                logger.warning("skipping unreadable file %s: %s", path, exc)
+                continue
+            docs.append(Document(doc_id, label, tuple(preprocess_text(text)), len(docs)))
+    finally:
+        _terms.clear()
     return LabeledCorpus(tuple(docs))
 
 
@@ -380,6 +385,7 @@ def partition_stream(
     """
     if not 0 < train_fraction < 1:
         raise CorpusError(f"train_fraction must be in (0,1), got {train_fraction}")
+    _check_seed(seed)
     if not corpus.documents:
         raise CorpusError("cannot partition an empty corpus")
     order = list(corpus.documents)
@@ -389,6 +395,12 @@ def partition_stream(
     test = order[n_train:]
     batches = split_batches(test, n_batches)
     return StreamPartition(_make_corpus(order[:n_train]), batches)
+
+
+def _check_seed(seed: int) -> None:
+    # random.Random seeds from |seed|, so -3 would alias 3.
+    if seed < 0:
+        raise CorpusError(f"seed must be >= 0, got {seed}")
 
 
 def split_batches(documents, n_batches: int) -> tuple[LabeledCorpus, ...]:
@@ -444,6 +456,7 @@ def synth_drift(
     resembles legitimate mail to a model trained on phase 1. Labels
     alternate, keeping both phases balanced. Same seed, same corpus.
     """
+    _check_seed(seed)
     if docs_per_phase < 1:
         raise CorpusError(f"docs_per_phase must be >= 1, got {docs_per_phase}")
     if not 0.0 <= overlap <= 1.0:

@@ -4,9 +4,11 @@ import random
 import string
 import sys
 import tempfile
+import uuid
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -294,6 +296,77 @@ class TestLoadEnron:
         c = load_enron(tmp_path)
         assert [d.id for d in c.documents] == ["spam/0001.txt"]
         assert "viagra" in c.documents[0].tokens
+
+
+# A load's word memo serves that load only; each document carries its ids.
+_LAYOUTS = pytest.mark.parametrize("load, names", [
+    (load_enron, ["spam/0001.txt", "ham/0002.txt"]),
+    (load_pu, ["part1/spmsg001.txt", "part1/3-1msg1.txt"]),
+], ids=["enron", "pu"])
+
+
+def _write_mail(root, names):
+    for k, name in enumerate(names):
+        _write(root / name, f"The PONIES agreed to RUNNING offers {k} meetings")
+
+
+class TestLoadLifetimes:
+    @_LAYOUTS
+    def test_load_empties_the_word_memo(self, tmp_path, load, names):
+        _write_mail(tmp_path, names)
+        preprocess_text("words before the load")
+        assert corpus._terms
+        assert len(load(tmp_path)) == len(names)
+        assert not corpus._terms
+
+    def test_failed_load_empties_the_word_memo(self, tmp_path, monkeypatch):
+        _write_mail(tmp_path, ["spam/0001.txt", "ham/0002.txt"])
+        preprocessed = []
+
+        def fail_on_the_second(text):
+            if preprocessed:
+                raise RuntimeError("second file")
+            preprocessed.append(text)
+            return preprocess_text(text)
+
+        monkeypatch.setattr(corpus, "preprocess_text", fail_on_the_second)
+        with pytest.raises(RuntimeError, match="second file"):
+            load_enron(tmp_path)
+        assert preprocessed
+        assert not corpus._terms
+
+    @_LAYOUTS
+    def test_second_load_gives_the_same_documents(self, tmp_path, load, names):
+        _write_mail(tmp_path, names)
+        first, second = load(tmp_path).documents, load(tmp_path).documents
+        assert [(d.id, d.label, d.tokens) for d in first] == [
+            (d.id, d.label, d.tokens) for d in second]
+        for a, b in zip(first, second, strict=True):
+            assert a.tokens
+            assert np.array_equal(a.term_ids, b.term_ids)
+
+
+class TestDocument:
+    def test_term_ids_are_interned_when_built(self):
+        tokens = [f"{uuid.uuid4().hex}-{k}" for k in range(3)]
+        doc = make_doc(0, "spam", tokens + tokens[:1])
+        assert not hasattr(doc, "__dict__")
+        assert all(t in corpus.TERMS.ids for t in tokens)
+        assert np.array_equal(doc.term_ids, corpus.TERMS.intern(doc.tokens))
+        assert not doc.term_ids.flags.writeable
+
+    def test_replace_recomputes_the_term_ids(self):
+        doc = make_doc(0, "spam", ["aa", "bb", "cc"])
+        doubled = replace(doc, tokens=doc.tokens * 2)
+        assert np.array_equal(doubled.term_ids, np.concatenate([doc.term_ids] * 2))
+
+    def test_term_ids_take_no_part_in_equality(self):
+        a, b = make_doc(0, "spam", ["aa", "bb"]), make_doc(0, "spam", ["aa", "bb"])
+        assert a.term_ids is not b.term_ids
+        assert a == b
+        assert hash(a) == hash(b)
+        assert "term_ids" not in repr(a)
+        assert a != replace(a, tokens=("bb", "aa"))
 
 
 class TestLoadPu:
@@ -584,6 +657,12 @@ class TestPartitionStream:
         with pytest.raises(CorpusError, match="n_batches"):
             partition_stream(_numbered_corpus(10), 0.5, 6)
 
+    @pytest.mark.parametrize("chronological", [True, False])
+    def test_negative_seed_rejected(self, chronological):
+        # random.Random seeds from |seed|, so -3 would shuffle as 3 does.
+        with pytest.raises(CorpusError, match=r"^seed must be >= 0, got -3$"):
+            partition_stream(_numbered_corpus(10), 0.5, 2, chronological, seed=-3)
+
     @pytest.mark.parametrize("source, target", [
         (0, 0),  # within the training set
         (0, 2),  # the training set and a batch
@@ -708,6 +787,12 @@ class TestSynthDrift:
         with pytest.raises(CorpusError, match="vocab_size=3 too small"):
             synth_drift(1, vocab_size=3, docs_per_phase=2)
         assert len(synth_drift(1, vocab_size=4, docs_per_phase=2).documents) == 4
+
+    def test_negative_seed_rejected(self):
+        # random.Random seeds from |seed|, so -3 would draw seed 3's stream.
+        with pytest.raises(CorpusError, match=r"^seed must be >= 0, got -3$"):
+            synth_drift(-3, vocab_size=50, docs_per_phase=20)
+        assert len(synth_drift(0, vocab_size=50, docs_per_phase=20)) == 40
 
     def test_labels_balanced(self):
         stream = synth_drift(2, vocab_size=120, docs_per_phase=50)

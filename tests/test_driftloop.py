@@ -434,9 +434,9 @@ class TestRunSession:
     def test_reports_do_not_depend_on_interning_order(self, monkeypatch, selector):
         # Two copies of one stream whose terms differ only by a fresh prefix
         # of equal length, so every (weight, term) sort orders them alike.
-        # The first copy is interned as the session meets its tokens; the
-        # second copy's vocabulary, with extra terms, is interned up front
-        # in shuffled order.
+        # The first copy is interned as it is built, in first-seen order; the
+        # second copy's vocabulary, with extra terms, is interned before the
+        # copy is built, in shuffled order.
         stream = synth_drift(6, vocab_size=160, docs_per_phase=150, overlap=0.2)
         config = small_config(n=60, selector=selector)
 
@@ -450,12 +450,13 @@ class TestRunSession:
         reports, scores = [], []
         for shuffled in (False, True):
             prefix = uuid.uuid4().hex + "-"
-            copy = renamed(prefix)
             if shuffled:
-                vocabulary = sorted({t for d in copy.documents for t in d.tokens})
+                vocabulary = sorted({prefix + t for d in stream.documents for t in d.tokens})
                 vocabulary += [f"{prefix}extra{i}" for i in range(50)]
                 random.Random(3).shuffle(vocabulary)
                 TERMS.intern(vocabulary)
+            copy = renamed(prefix)
+            if shuffled:
                 first_seen = list(dict.fromkeys(t for d in copy.documents for t in d.tokens))
                 assert sorted(first_seen, key=TERMS.ids.__getitem__) != first_seen
             partition = partition_stream(copy, 1 / 3, 5)

@@ -4,6 +4,7 @@ Usage (Python 3.10 or later):
 
     python tools/difftrees.py OLD_TREE [NEW_TREE] [--work DIR]
     python tools/difftrees.py OLD_TREE [NEW_TREE] --time N [--seed S] [--workload W]
+                              [--label L]
 
 NEW_TREE defaults to the repository that holds this script. For each tree it
 runs `python -m driftfilter.cli` with `PYTHONPATH=<tree>/src` over the same
@@ -36,18 +37,26 @@ over, rotating which tree runs first. Per workload it prints every pair's
 `run_s`, each tree's median and quartiles, the user and sys CPU seconds of
 each child process (from `resource.getrusage(RUSAGE_CHILDREN)`, which also
 counts set-up and numpy's BLAS threads) and its `peak_rss_mb`, then NEW
-against OLD (A/B) and the copy against OLD (A/A): the pairs won, the
-median `run_s` difference and the median CPU and `peak_rss_mb` differences.
-The A/A line is the control: two identical trees differ by that much on the
-measuring host, in time and in memory. Exit status 0, or 2 when a run fails.
+against OLD (A/B) and the copy against OLD (A/A): the pairs won in
+`run_s` and in `peak_rss_mb`, the median `run_s` difference and the median
+CPU and `peak_rss_mb` differences. The A/A line is the control: two
+identical trees differ by that much on the measuring host, in time and in
+memory. With `--label L` it also writes those numbers to `BENCH_<L>.json`
+in the current directory, with each tree's commit (`git rev-parse HEAD`,
+null when the tree is not the top of a git checkout) and whether its `src/`
+has uncommitted changes, the host, the Python and numpy versions, the
+workloads and the seed. Exit status 0, or 2 when a run fails.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.metadata
 import json
 import os
+import platform
 import random
+import re
 import resource
 import shutil
 import statistics
@@ -234,7 +243,7 @@ def compare(old: Path, new: Path) -> tuple[int, int]:
     return len(old_files | new_files), differing
 
 
-def timed_run(tree: Path, config: Path, out: Path) -> tuple[float, float, float, float]:
+def timed_run(tree: Path, config: Path, out: Path) -> dict[str, float]:
     """One run of `driftfilter run --config CONFIG` in a fresh
     `perfbench/child.py` on the sources of `tree`. Returns the child's
     `run_s`, the user and sys CPU seconds of its whole process, and its
@@ -253,49 +262,102 @@ def timed_run(tree: Path, config: Path, out: Path) -> tuple[float, float, float,
         detail = log.read_text(encoding="utf-8") if log.is_file() else proc.stderr
         raise TreeError(f"{tree}: timed run of {config} failed:\n{detail[-2000:]}")
     shutil.rmtree(out)
-    return (record["run_s"], after.ru_utime - before.ru_utime,
-            after.ru_stime - before.ru_stime, record["peak_rss_mb"])
+    return {"run_s": record["run_s"], "user_s": after.ru_utime - before.ru_utime,
+            "sys_s": after.ru_stime - before.ru_stime,
+            "peak_rss_mb": record["peak_rss_mb"]}
 
 
-def _versus(label: str, pairs, base, other) -> str:
-    """Win count and median `run_s` difference of `other` against `base`
-    over pairs, and the median CPU and `peak_rss_mb` differences."""
-    diffs = [p[other][0] - p[base][0] for p in pairs]
-    shares = [d / p[base][0] for d, p in zip(diffs, pairs)]
-    cpu = [sum(p[other][1:3]) - sum(p[base][1:3]) for p in pairs]
-    rss = [p[other][3] - p[base][3] for p in pairs]
-    wins = sum(d < 0 for d in diffs)
-    return (f"{label}: {other} faster in {wins}/{len(pairs)} pairs; median "
-            f"{other}-{base} {statistics.median(diffs):+.4f} s "
-            f"({statistics.median(shares):+.1%}); median CPU difference "
-            f"{statistics.median(cpu):+.4f} s; median peak_rss_mb difference "
-            f"{statistics.median(rss):+.2f} MB")
+def _versus(pairs, base, other) -> dict:
+    """How `other` fares against `base` over pairs: the pairs it wins in
+    `run_s` and in `peak_rss_mb`, and the median differences."""
+    def diffs(key):
+        return [p[other][key] - p[base][key] for p in pairs]
+
+    run = diffs("run_s")
+    rss = diffs("peak_rss_mb")
+    cpu = [u + s for u, s in zip(diffs("user_s"), diffs("sys_s"))]
+    return {"pairs": len(pairs), "faster": sum(d < 0 for d in run),
+            "lower_peak_rss": sum(d < 0 for d in rss),
+            "run_s": statistics.median(run),
+            "run_share": statistics.median(d / p[base]["run_s"]
+                                           for d, p in zip(run, pairs)),
+            "cpu_s": statistics.median(cpu), "peak_rss_mb": statistics.median(rss)}
 
 
-def report_timing(workload: str, pairs) -> None:
+def summarize(pairs) -> dict:
+    """Each tree's quartiles and median CPU seconds, and the A/B and A/A
+    comparisons."""
+    _, bench = _bench_modules()
+    trees = {}
+    for label in TREES:
+        tree = {}
+        for key in ("run_s", "peak_rss_mb"):
+            q1, q2, q3 = bench.quartiles([p[label][key] for p in pairs])
+            tree[key] = {"median": q2, "q1": q1, "q3": q3}
+        for key in ("user_s", "sys_s"):
+            tree[key] = statistics.median(p[label][key] for p in pairs)
+        trees[label] = tree
+    return {"trees": trees, "A/B": _versus(pairs, "old", "new"),
+            "A/A": _versus(pairs, "old", "copy")}
+
+
+def report_timing(workload: str, pairs, summary) -> None:
     """Per-pair `run_s`, each tree's quartiles, the A/B and A/A comparisons."""
     print(f"{workload}: {len(pairs)} pairs, run_s in seconds "
           f"(CPU = user + sys of the whole child process)")
     print("  input round      old      new     copy  new-old copy-old")
     for p in pairs:
-        print(f"  {p['input']:5d} {p['round']:5d} {p['old'][0]:8.4f} {p['new'][0]:8.4f} "
-              f"{p['copy'][0]:8.4f} {p['new'][0] - p['old'][0]:+8.4f} "
-              f"{p['copy'][0] - p['old'][0]:+8.4f}")
-    _, bench = _bench_modules()
-    for label in TREES:
-        q1, q2, q3 = bench.quartiles([p[label][0] for p in pairs])
-        user = statistics.median(p[label][1] for p in pairs)
-        system = statistics.median(p[label][2] for p in pairs)
-        rss = statistics.median(p[label][3] for p in pairs)
-        print(f"  {label:4s} run_s median {q2:.4f} q1 {q1:.4f} q3 {q3:.4f} "
-              f"(spread {q3 - q1:.4f}); CPU median user {user:.3f} sys {system:.3f}; "
-              f"peak_rss_mb median {rss:.2f}")
-    print("  " + _versus("A/B", pairs, "old", "new"))
-    print("  " + _versus("A/A", pairs, "old", "copy"))
+        old, new, copy = (p[label]["run_s"] for label in TREES)
+        print(f"  {p['input']:5d} {p['round']:5d} {old:8.4f} {new:8.4f} "
+              f"{copy:8.4f} {new - old:+8.4f} {copy - old:+8.4f}")
+    for label, tree in summary["trees"].items():
+        run = tree["run_s"]
+        print(f"  {label:4s} run_s median {run['median']:.4f} q1 {run['q1']:.4f} "
+              f"q3 {run['q3']:.4f} (spread {run['q3'] - run['q1']:.4f}); CPU median "
+              f"user {tree['user_s']:.3f} sys {tree['sys_s']:.3f}; "
+              f"peak_rss_mb median {tree['peak_rss_mb']['median']:.2f}")
+    for name, other in (("A/B", "new"), ("A/A", "copy")):
+        v = summary[name]
+        print(f"  {name}: {other} faster in {v['faster']}/{v['pairs']} pairs; median "
+              f"{other}-old {v['run_s']:+.4f} s ({v['run_share']:+.1%}); median CPU "
+              f"difference {v['cpu_s']:+.4f} s; peak_rss_mb lower in "
+              f"{v['lower_peak_rss']}/{v['pairs']} pairs, median difference "
+              f"{v['peak_rss_mb']:+.2f} MB")
+
+
+def _commit(tree: Path) -> dict:
+    """The commit checked out at `tree` (None unless `tree` is the top of a
+    git checkout) and whether its `src/` has uncommitted changes."""
+    try:
+        head = subprocess.run(["git", "rev-parse", "--show-toplevel", "HEAD"], cwd=tree,
+                              capture_output=True, text=True)
+        status = subprocess.run(["git", "status", "--porcelain", "--", "src"], cwd=tree,
+                                capture_output=True, text=True)
+    except OSError:
+        return {"commit": None, "src_modified": None}
+    lines = head.stdout.split()
+    if head.returncode != 0 or Path(lines[0]).resolve() != tree.resolve():
+        return {"commit": None, "src_modified": None}
+    return {"commit": lines[1], "src_modified": bool(status.stdout.strip())}
+
+
+def write_bench(path: Path, trees, rounds: int, seed: int, summaries) -> None:
+    """The timing comparison, with what a later reader needs to weigh it."""
+    record = {
+        "host": {"platform": platform.platform(), "machine": platform.machine(),
+                 "cpus": os.cpu_count()},
+        "python": platform.python_version(),
+        "numpy": importlib.metadata.version("numpy"),
+        "seed": seed,
+        "rounds": rounds,
+        "trees": {label: _commit(tree) for label, tree in trees.items()},
+        "workloads": summaries,
+    }
+    path.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
 
 
 def time_trees(old_tree: Path, new_tree: Path, rounds: int, seed: int, names,
-               work: Path) -> None:
+               work: Path, bench_file: Path | None) -> None:
     """Alternate OLD, NEW and a copy of OLD run by run over the inputs of
     each workload, `rounds` times, rotating which tree runs first."""
     copy = work / "old_copy"
@@ -309,13 +371,20 @@ def time_trees(old_tree: Path, new_tree: Path, rounds: int, seed: int, names,
     for r in range(rounds):
         for i, (workload, program_seed, conf) in enumerate(configs):
             shift = (r + i) % len(TREES)
-            pair = {"input": program_seed, "round": r}
+            runs = {}
             for label in TREES[shift:] + TREES[:shift]:
                 out = work / "runs" / f"{label}-{program_seed}-{r}"
-                pair[label] = timed_run(trees[label], conf, out)
-            pairs.setdefault(workload, []).append(pair)
+                runs[label] = timed_run(trees[label], conf, out)
+            pairs.setdefault(workload, []).append(
+                {"input": program_seed, "round": r, **{t: runs[t] for t in TREES}})
+    summaries = {}
     for workload, rows in pairs.items():
-        report_timing(workload, rows)
+        summary = summarize(rows)
+        report_timing(workload, rows, summary)
+        summaries[workload] = {"pairs": rows, **summary}
+    if bench_file is not None:
+        write_bench(bench_file, trees, rounds, seed, summaries)
+        print(f"wrote {bench_file}")
 
 
 def main(argv=None) -> int:
@@ -333,9 +402,14 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", action="append",
                         choices=sorted(_bench_modules()[1].WORKLOADS),
                         help="time only this workload (repeatable; default all)")
+    parser.add_argument("--label",
+                        help="with --time, also write BENCH_<LABEL>.json here")
     args = parser.parse_args(argv)
     if args.time is not None and args.time < 1:
         parser.error("--time needs at least 1 round")
+    if args.label is not None and (args.time is None
+                                   or not re.fullmatch(r"[\w.-]+", args.label)):
+        parser.error("--label needs --time and a name of letters, digits, _, . or -")
     old_tree, new_tree = args.old_tree.resolve(), args.new_tree.resolve()
     for tree in (old_tree, new_tree):
         if not (tree / "src" / "driftfilter" / "cli.py").is_file():
@@ -345,7 +419,8 @@ def main(argv=None) -> int:
         work = (args.work or Path(tmp)).resolve()
         if args.time is not None:
             try:
-                time_trees(old_tree, new_tree, args.time, args.seed, args.workload, work)
+                time_trees(old_tree, new_tree, args.time, args.seed, args.workload, work,
+                           args.label and Path(f"BENCH_{args.label}.json"))
             except (TreeError, FileExistsError) as exc:
                 print(f"error: {exc}", file=sys.stderr)
                 return 2
