@@ -16,7 +16,6 @@ import argparse
 import csv
 import json
 import logging
-import math
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -61,28 +60,17 @@ class RunConfig:
             value = getattr(self, key)
             if value not in choices:
                 raise CliError(f"{key} must be one of {choices}, got {value!r}")
-        if not 0.0 < self.rho < 1.0:
-            raise CliError(f"rho must be in (0,1), got {self.rho}")
-        if not 0.0 < self.c < math.inf:
-            raise CliError(f"c must be finite and > 0, got {self.c}")
-        # 4 words is the least synth_drift splits into its three pools;
-        # random.Random seeds from |seed|, so -3 would alias 3.
-        for key, least in (("n", 1), ("n_batches", 1), ("synth_vocab", 4),
-                           ("synth_docs_per_phase", 1), ("seed", 0)):
-            if getattr(self, key) < least:
-                raise CliError(f"{key} must be >= {least}, got {getattr(self, key)}")
-        if not 0.0 < self.train_fraction < 1.0:
-            raise CliError(
-                f"train_fraction must be in (0,1), got {self.train_fraction}"
-            )
+        # The library checks each bound, without data; the error names the key.
+        try:
+            _drift_config(self, self.selector)
+            corpus.check_partition(self.train_fraction, self.n_batches, self.seed)
+            corpus.check_synth(self.seed, self.synth_vocab,
+                               self.synth_docs_per_phase, self.synth_overlap)
+        except (corpus.CorpusError, driftloop.DriftLoopError, svm.SvmError) as exc:
+            name, _, rest = str(exc).partition(" ")
+            raise CliError(f"{_KEYS.get(name, name)} {rest}") from None
         if self.experiment == "1" and self.mode != "batch":
             raise CliError("experiment 1 requires mode = batch")
-        if self.kernel == "rbf" and self.gamma is None:
-            raise CliError("kernel rbf requires a finite gamma > 0, got None")
-        if self.gamma is not None and not 0.0 < self.gamma < math.inf:
-            raise CliError(f"gamma must be finite and > 0, got {self.gamma}")
-        if not 0.0 <= self.synth_overlap <= 1.0:
-            raise CliError(f"synth_overlap must be in [0,1], got {self.synth_overlap}")
         if self.manifest:
             # The manifest names every dataset; `format` has a default, so
             # an explicit value cannot be told apart and is left alone.
@@ -104,6 +92,9 @@ _CHOICES = {
     "experiment": ("single", "1", "2"),
     "fpr_trigger": tuple(t.value for t in driftloop.FprTrigger),
 }
+# The library's name of a key, where it differs, leading its error message.
+_KEYS = {"feature_dim": "n", "C": "c", "vocab_size": "synth_vocab",
+         "docs_per_phase": "synth_docs_per_phase", "overlap": "synth_overlap"}
 # Scalar type of each key, from its annotation: "float | None" -> float.
 _SCALARS = {"int": int, "float": float, "str": str}
 _TYPES = {f.name: _SCALARS[f.type.split(" | ")[0]] for f in fields(RunConfig)}
@@ -189,9 +180,7 @@ def _drift_config(config: RunConfig, selector: str) -> driftloop.DriftConfig:
         rho=config.rho,
         fpr_trigger=driftloop.FprTrigger(config.fpr_trigger),
         feature_dim=config.n,
-        train_config=svm.TrainConfig(
-            C=config.c, kernel=config.kernel, gamma=config.gamma
-        ),
+        train_config=svm.TrainConfig(C=config.c, kernel=config.kernel, gamma=config.gamma),
         selector=selector,
     )
 

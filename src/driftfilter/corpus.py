@@ -383,9 +383,7 @@ def partition_stream(
     remainder is cut into `n_batches` contiguous batches whose sizes differ
     by at most one.
     """
-    if not 0 < train_fraction < 1:
-        raise CorpusError(f"train_fraction must be in (0,1), got {train_fraction}")
-    _check_seed(seed)
+    check_partition(train_fraction, n_batches, seed)
     if not corpus.documents:
         raise CorpusError("cannot partition an empty corpus")
     order = list(corpus.documents)
@@ -397,17 +395,28 @@ def partition_stream(
     return StreamPartition(_make_corpus(order[:n_train]), batches)
 
 
-def _check_seed(seed: int) -> None:
-    # random.Random seeds from |seed|, so -3 would alias 3.
-    if seed < 0:
-        raise CorpusError(f"seed must be >= 0, got {seed}")
+def check_partition(train_fraction: float, n_batches: int, seed: int) -> None:
+    """The bounds of `partition_stream`'s parameters, checked without a corpus."""
+    if not 0 < train_fraction < 1:
+        raise CorpusError(f"train_fraction must be in (0,1), got {train_fraction}")
+    _check_least(n_batches=n_batches, seed=seed)
+
+
+# The least of each integer parameter. random.Random seeds from |seed|, so -3
+# would alias 3; synth_drift splits no fewer than 4 words into its three pools.
+_LEAST = {"seed": 0, "n_batches": 1, "vocab_size": 4, "docs_per_phase": 1}
+
+
+def _check_least(**values: int) -> None:
+    for key, value in values.items():
+        if value < _LEAST[key]:
+            raise CorpusError(f"{key} must be >= {_LEAST[key]}, got {value}")
 
 
 def split_batches(documents, n_batches: int) -> tuple[LabeledCorpus, ...]:
     """Cut a document sequence into contiguous batches differing by <= 1 in size."""
     documents = list(documents)
-    if n_batches < 1:
-        raise CorpusError(f"n_batches must be >= 1, got {n_batches}")
+    _check_least(n_batches=n_batches)
     if n_batches > len(documents):
         raise CorpusError(
             f"n_batches={n_batches} exceeds test size {len(documents)}"
@@ -440,6 +449,13 @@ def _draw(rng: random.Random, pool, count: int) -> list:
     return out
 
 
+def check_synth(seed: int, vocab_size: int, docs_per_phase: int, overlap: float) -> None:
+    """The bounds of `synth_drift`'s parameters, checked without drawing."""
+    _check_least(seed=seed, vocab_size=vocab_size, docs_per_phase=docs_per_phase)
+    if not 0.0 <= overlap <= 1.0:
+        raise CorpusError(f"overlap must be in [0,1], got {overlap}")
+
+
 def synth_drift(
     seed: int,
     vocab_size: int = 400,
@@ -456,16 +472,10 @@ def synth_drift(
     resembles legitimate mail to a model trained on phase 1. Labels
     alternate, keeping both phases balanced. Same seed, same corpus.
     """
-    _check_seed(seed)
-    if docs_per_phase < 1:
-        raise CorpusError(f"docs_per_phase must be >= 1, got {docs_per_phase}")
-    if not 0.0 <= overlap <= 1.0:
-        raise CorpusError(f"overlap must be in [0,1], got {overlap}")
+    check_synth(seed, vocab_size, docs_per_phase, overlap)
     n_legit = vocab_size // 2
     n_spam = vocab_size // 4
     n_reserve = vocab_size - n_legit - n_spam
-    if n_spam < 1 or n_reserve < n_spam:
-        raise CorpusError(f"vocab_size={vocab_size} too small to carve pools")
     rng = random.Random(seed)
     legit_pool = [f"lg{i:04d}" for i in range(n_legit)]
     spam_pool = [f"sp{i:04d}" for i in range(n_spam)]

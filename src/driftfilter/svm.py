@@ -68,7 +68,7 @@ class TrainConfig:
         if self.kernel not in KERNELS:
             raise SvmError(f"unsupported kernel: {self.kernel!r}")
         if self.kernel == "rbf" and self.gamma is None:
-            raise SvmError("rbf kernel requires a finite gamma > 0, got None")
+            raise SvmError("gamma must be set for the rbf kernel, got None")
         if self.gamma is not None and not 0.0 < self.gamma < math.inf:
             raise SvmError(f"gamma must be finite and positive, got {self.gamma}")
 

@@ -122,9 +122,11 @@ class TestParseConfig:
 
 
 _GAMMA = st.floats(0.0, exclude_min=True, allow_infinity=False)
-# Keys with a range check in RunConfig.validate; every other key is drawn
-# from its annotated type (or its choices), and str values are unfiltered,
-# so `#`, line breaks and surrounding whitespace all occur.
+# The tests' own oracle of the library's bounds (DriftConfig, TrainConfig,
+# corpus.check_partition and corpus.check_synth), written out apart from
+# them; every other key is drawn from its annotated type (or its choices),
+# and str values are unfiltered, so `#`, line breaks and surrounding
+# whitespace all occur.
 _RANGED = {
     "rho": st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
     "c": st.floats(0.0, exclude_min=True, allow_infinity=False),
@@ -548,13 +550,13 @@ class TestCliCommands:
             (["run", "--format", "enron", "--dataset", "/nonexistent"], "/nonexistent"),
             (["run", "--c", "nan"], "c must be"),
             (["run", "--c", "inf"], "c must be"),
-            (["run", "--kernel", "rbf", "--gamma", "nan"], "gamma"),
-            (["config", "dump", "--gamma", "nan"], "gamma"),
-            (["config", "dump", "--gamma", "inf"], "gamma"),
+            (["run", "--kernel", "rbf", "--gamma", "nan"], "gamma must be"),
+            (["config", "dump", "--gamma", "nan"], "gamma must be"),
+            (["config", "dump", "--gamma", "inf"], "gamma must be"),
             (["config", "dump", "--format", "enron", "--dataset", "/data/mail#2"],
              "dataset"),
             (["run", "--format", "synth", "--synth-docs-per-phase", "0"],
-             "docs_per_phase"),
+             "synth_docs_per_phase must be >= 1, got 0"),
             (["run", "--format", "synth", "--synth-vocab", "3"],
              "synth_vocab must be >= 4, got 3"),
             # Datasets that are not there.
@@ -577,10 +579,17 @@ class TestCliCommands:
              f"{inputs / 'latin1.conf'}: not UTF-8 text"),
             (["run", "--manifest", str(inputs / "latin1.manifest")],
              f"{inputs / 'latin1.manifest'}: not UTF-8 text"),
-            # Range checks of RunConfig.validate; `config dump` reads no data.
+            # The library's bounds, named by the CLI key; `config dump` reads
+            # no data.
+            (["config", "dump", "--rho", "1.5"], "rho must be in (0,1), got 1.5"),
+            (["config", "dump", "--n", "0"], "n must be >= 1, got 0"),
+            (["config", "dump", "--c", "0"], "c must be finite and positive, got 0.0"),
+            (["config", "dump", "--kernel", "rbf"],
+             "gamma must be set for the rbf kernel, got None"),
             (["config", "dump", "--train-fraction", "1.5"], "train_fraction must be"),
             (["config", "dump", "--n-batches", "0"], "n_batches must be"),
-            (["config", "dump", "--synth-overlap", "1.5"], "synth_overlap must be"),
+            (["config", "dump", "--synth-overlap", "1.5"],
+             "synth_overlap must be in [0,1], got 1.5"),
             (["config", "dump", "--synth-vocab", "3"], "synth_vocab must be >= 4"),
             (["config", "dump", "--synth-docs-per-phase", "0"],
              "synth_docs_per_phase must be >= 1"),
@@ -617,6 +626,11 @@ class TestCliCommands:
             assert err.startswith("error:")
             assert err.count("\n") == 1
             assert named in err, argv
+            # A numeric key's error leads with that key, never with the
+            # library's name for it (feature_dim, C, vocab_size, ...).
+            key = named.split(" ", 1)[0]
+            if cli._TYPES.get(key, str) is not str:
+                assert err.startswith(f"error: {key} "), argv
         # A run that fails before its first result leaves no output directory.
         assert list(tmp_path.iterdir()) == []
 

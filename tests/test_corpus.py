@@ -783,10 +783,17 @@ class TestSynthDrift:
         with pytest.raises(CorpusError, match="docs_per_phase must be >= 1, got 0"):
             synth_drift(1, docs_per_phase=0)
 
-    def test_smallest_vocabulary_that_carves_pools(self):
-        with pytest.raises(CorpusError, match="vocab_size=3 too small"):
-            synth_drift(1, vocab_size=3, docs_per_phase=2)
-        assert len(synth_drift(1, vocab_size=4, docs_per_phase=2).documents) == 4
+    @pytest.mark.parametrize("vocab_size", range(6))
+    def test_smallest_vocabulary_that_carves_pools(self, vocab_size):
+        # 4 words split into a legitimate pool of 2, a spam pool of 1 and a
+        # reserve of 1; fewer leave the spam pool or the reserve empty.
+        if vocab_size < 4:
+            with pytest.raises(
+                CorpusError, match=f"^vocab_size must be >= 4, got {vocab_size}$"
+            ):
+                synth_drift(1, vocab_size=vocab_size, docs_per_phase=2)
+        else:
+            assert len(synth_drift(1, vocab_size=vocab_size, docs_per_phase=2).documents) == 4
 
     def test_negative_seed_rejected(self):
         # random.Random seeds from |seed|, so -3 would draw seed 3's stream.
