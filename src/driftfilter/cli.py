@@ -87,10 +87,10 @@ class RunConfig:
 _CHOICES = {
     "format": FORMATS,
     "selector": features.SELECTORS,
-    "mode": tuple(m.value for m in driftloop.SessionMode),
+    "mode": driftloop.MODES,
     "kernel": svm.KERNELS,
     "experiment": ("single", "1", "2"),
-    "fpr_trigger": tuple(t.value for t in driftloop.FprTrigger),
+    "fpr_trigger": driftloop.FPR_TRIGGERS,
 }
 # The library's name of a key, where it differs, leading its error message.
 _KEYS = {"feature_dim": "n", "C": "c", "vocab_size": "synth_vocab",
@@ -178,7 +178,7 @@ def dump_config(config: RunConfig) -> str:
 def _drift_config(config: RunConfig, selector: str) -> driftloop.DriftConfig:
     return driftloop.DriftConfig(
         rho=config.rho,
-        fpr_trigger=driftloop.FprTrigger(config.fpr_trigger),
+        fpr_trigger=config.fpr_trigger,
         feature_dim=config.n,
         train_config=svm.TrainConfig(C=config.c, kernel=config.kernel, gamma=config.gamma),
         selector=selector,
@@ -335,7 +335,7 @@ def run_experiment(config: RunConfig, out_dir: Path) -> tuple[dict, ...]:
     if config.experiment == "1":
         selectors = features.SELECTORS
     elif config.experiment == "2":
-        modes = ("batch", "incremental")
+        modes = driftloop.MODES
     rows = []
     for entry in _dataset_entries(config):
         partition = build_partition(entry, config)
@@ -344,9 +344,7 @@ def run_experiment(config: RunConfig, out_dir: Path) -> tuple[dict, ...]:
             drift_config = _drift_config(config, selector)
             state = driftloop.run_batch_phase(partition.training, drift_config, counts)
             for mode in modes:
-                report = driftloop.run_session(
-                    partition, drift_config, driftloop.SessionMode(mode), state
-                )
+                report = driftloop.run_session(partition, drift_config, mode, state)
                 _emit_session_files(entry.name, report, out_dir)
                 rows.append(_table_row(entry.name, report))
     return tuple(rows)

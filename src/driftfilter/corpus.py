@@ -1,4 +1,7 @@
-"""Dataset loading, text preprocessing, stream partitioning, synthetic drift."""
+"""Dataset loading, text preprocessing, stream partitioning, synthetic drift.
+
+A label is a string of `LABELS`, checked when a `Document` is built.
+"""
 
 from __future__ import annotations
 
@@ -8,7 +11,6 @@ import math
 import random
 import string
 from dataclasses import dataclass, field
-from enum import Enum
 from functools import cache, cached_property
 from importlib import resources
 from pathlib import Path
@@ -36,9 +38,8 @@ class CorpusError(Exception):
     """Raised for unloadable datasets and invalid partition requests."""
 
 
-class Label(Enum):
-    SPAM = "spam"
-    LEGITIMATE = "legitimate"
+# Every document is one of these classes; spam is the positive class.
+LABELS = ("spam", "legitimate")
 
 
 class TermTable:
@@ -92,12 +93,14 @@ class Document:
     """
 
     id: str
-    label: Label
+    label: str
     tokens: tuple[str, ...]
     arrival_index: int
     term_ids: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.label not in LABELS:
+            raise CorpusError(f"label must be one of {LABELS}, got {self.label!r}")
         object.__setattr__(self, "term_ids", TERMS.intern(self.tokens))
 
 
@@ -114,11 +117,11 @@ class LabeledCorpus:
 
     @property
     def n_spam(self) -> int:
-        return sum(1 for d in self.documents if d.label is Label.SPAM)
+        return sum(1 for d in self.documents if d.label == "spam")
 
     @property
     def n_legit(self) -> int:
-        return sum(1 for d in self.documents if d.label is Label.LEGITIMATE)
+        return sum(1 for d in self.documents if d.label == "legitimate")
 
     def __len__(self) -> int:
         return len(self.documents)
@@ -150,7 +153,7 @@ class StreamPartition:
         ]
         for name, group in groups:
             for doc in group.documents:
-                header = f"{name} {doc.id} {doc.label.value} {len(doc.tokens)}\n"
+                header = f"{name} {doc.id} {doc.label} {len(doc.tokens)}\n"
                 digest.update((header + "\n".join(doc.tokens) + "\n").encode("utf-8"))
         return digest.hexdigest()
 
@@ -269,7 +272,7 @@ def load_enron(dir_path) -> LabeledCorpus:
     if not root.is_dir():
         raise CorpusError(f"dataset directory not found: {root}")
     entries = []
-    for subdir, label in (("spam", Label.SPAM), ("ham", Label.LEGITIMATE)):
+    for subdir, label in (("spam", "spam"), ("ham", "legitimate")):
         sub = root / subdir
         if not sub.is_dir():
             logger.warning("missing %s/ under %s, treating as empty", subdir, root)
@@ -310,9 +313,9 @@ def load_pu(dir_path) -> LabeledCorpus:
             if not path.is_file():
                 continue
             if "spmsg" in path.name:
-                label = Label.SPAM
+                label = "spam"
             elif "msg" in path.name:
-                label = Label.LEGITIMATE
+                label = "legitimate"
             else:
                 logger.warning("skipping file with unrecognized name: %s", path)
                 continue
@@ -340,9 +343,9 @@ def load_ecml(file_path) -> LabeledCorpus:
             if not parts:
                 continue
             if parts[0] == "1":
-                label = Label.SPAM
+                label = "spam"
             elif parts[0] == "-1":
-                label = Label.LEGITIMATE
+                label = "legitimate"
             else:
                 raise CorpusError(f"{path}:{line_no}: bad label marker {parts[0]!r}")
             tokens = []
@@ -402,13 +405,16 @@ def check_partition(train_fraction: float, n_batches: int, seed: int) -> None:
     _check_least(n_batches=n_batches, seed=seed)
 
 
-# The least of each integer parameter. random.Random seeds from |seed|, so -3
-# would alias 3; synth_drift splits no fewer than 4 words into its three pools.
+# The least of each integer parameter, which must be an int (not a bool or
+# a float). random.Random seeds from |seed|, so -3 would alias 3;
+# synth_drift splits no fewer than 4 words into its three pools.
 _LEAST = {"seed": 0, "n_batches": 1, "vocab_size": 4, "docs_per_phase": 1}
 
 
 def _check_least(**values: int) -> None:
     for key, value in values.items():
+        if type(value) is not int:
+            raise CorpusError(f"{key} must be an int, got {value!r}")
         if value < _LEAST[key]:
             raise CorpusError(f"{key} must be >= {_LEAST[key]}, got {value}")
 
@@ -490,12 +496,12 @@ def synth_drift(
     for arrival in range(2 * docs_per_phase):
         pool = spam_pool if arrival < docs_per_phase else drifted_pool
         if arrival % 2 == 0:
-            label = Label.SPAM
+            label = "spam"
             tokens = _draw(rng, pool, half)
             tokens += _draw(rng, legit_pool, _SYNTH_DOC_LEN - half)
             rng.shuffle(tokens)
         else:
-            label = Label.LEGITIMATE
+            label = "legitimate"
             tokens = _draw(rng, legit_pool, _SYNTH_DOC_LEN)
         docs.append(Document(
             id=f"synth{arrival:05d}",
@@ -522,6 +528,6 @@ def write_enron_layout(corpus: LabeledCorpus, dir_path) -> None:
     for sub in ("spam", "ham"):
         (root / sub).mkdir(parents=True, exist_ok=True)
     for doc in corpus.documents:
-        sub = "spam" if doc.label is Label.SPAM else "ham"
+        sub = "spam" if doc.label == "spam" else "ham"
         path = root / sub / f"{doc.arrival_index:05d}.txt"
         path.write_text(" ".join(doc.tokens) + "\n", encoding="utf-8")

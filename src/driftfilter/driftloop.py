@@ -6,7 +6,9 @@ threshold, or a false-positive-rate increase); Pass III updates the
 feature set on the retraining set (misclassified mail + support vectors
 + the violating batch) and retrains the model on it, then testing resumes.
 `run_session` builds each retraining set; one of a single class halts the
-session, recorded as the report's `halted` status.
+session, recorded as the report's `halted` status. Modes, FPR references
+and retrain causes are plain strings; `run_session` checks a mode against
+`MODES`, and `DriftConfig` an FPR reference against `FPR_TRIGGERS`.
 """
 
 from __future__ import annotations
@@ -14,10 +16,9 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass, field, fields
-from enum import Enum
 
 from . import features, metrics, svm
-from .corpus import Document, Label, LabeledCorpus, StreamPartition
+from .corpus import Document, LabeledCorpus, StreamPartition
 
 logger = logging.getLogger(__name__)
 
@@ -26,25 +27,14 @@ class DriftLoopError(Exception):
     """Raised for invalid session inputs."""
 
 
-class FprTrigger(Enum):
-    PREV_BATCH = "prev_batch"
-    SINCE_RETRAIN = "since_retrain"
-
-
-class TriggerCause(Enum):
-    ACCURACY_BELOW_RHO = "accuracy_below_rho"
-    FPR_INCREASED = "fpr_increased"
-
-
-class SessionMode(Enum):
-    BATCH = "batch"
-    INCREMENTAL = "incremental"
+MODES = ("batch", "incremental")
+FPR_TRIGGERS = ("prev_batch", "since_retrain")
 
 
 @dataclass(frozen=True)
 class DriftConfig:
     rho: float = 0.9
-    fpr_trigger: FprTrigger = FprTrigger.PREV_BATCH
+    fpr_trigger: str = "prev_batch"
     feature_dim: int = 500
     train_config: svm.TrainConfig = field(default_factory=svm.TrainConfig)
     selector: str = "tfdcr"
@@ -52,6 +42,9 @@ class DriftConfig:
     def __post_init__(self):
         if not 0.0 < self.rho < 1.0:
             raise DriftLoopError(f"rho must be in (0,1), got {self.rho}")
+        if self.fpr_trigger not in FPR_TRIGGERS:
+            raise DriftLoopError(f"fpr_trigger must be one of {FPR_TRIGGERS}, "
+                                 f"got {self.fpr_trigger!r}")
         if type(self.feature_dim) is not int:
             raise DriftLoopError(f"feature_dim must be an int, got {self.feature_dim!r}")
         if self.feature_dim < 1:
@@ -89,7 +82,7 @@ class FilterState:
 class RetrainEvent:
     batch_index: int
     generation: int
-    cause: TriggerCause
+    cause: str
     replaced_features: int
     retrain_size: int
     cumulative_seen: int
@@ -97,8 +90,8 @@ class RetrainEvent:
     post_accuracy: float
 
 
-def _label_to_int(label: Label) -> int:
-    return 1 if label is Label.SPAM else -1
+def _label_to_int(label: str) -> int:
+    return 1 if label == "spam" else -1
 
 
 def _generation(docs, fs: features.FeatureSet, config: DriftConfig) -> FilterState:
@@ -157,7 +150,7 @@ def evaluate_batch(state: FilterState, batch: LabeledCorpus, index: int = 0):
     return record, misclassified, scores, truths
 
 
-def check_validation(history, config: DriftConfig) -> TriggerCause | None:
+def check_validation(history, config: DriftConfig) -> str | None:
     """The validation criterion the latest batch violates, or None.
 
     `history` holds (accuracy, fpr) pairs since the last retrain. Accuracy
@@ -170,14 +163,14 @@ def check_validation(history, config: DriftConfig) -> TriggerCause | None:
         raise DriftLoopError("check_validation requires at least one batch")
     accuracy, fpr = history[-1]
     if accuracy <= config.rho:
-        return TriggerCause.ACCURACY_BELOW_RHO
+        return "accuracy_below_rho"
     if len(history) >= 2 and fpr is not None:
-        if config.fpr_trigger is FprTrigger.PREV_BATCH:
+        if config.fpr_trigger == "prev_batch":
             reference = history[-2][1]
         else:
             reference = history[0][1]
         if reference is not None and fpr > reference:
-            return TriggerCause.FPR_INCREASED
+            return "fpr_increased"
     return None
 
 
@@ -212,10 +205,7 @@ SESSION_FORMAT = "driftfilter-session-2"
 
 
 def _json_value(obj):
-    """A dataclass as its field dict (no copies, unlike `asdict`), an enum
-    as its value."""
-    if isinstance(obj, Enum):
-        return obj.value
+    """A dataclass as its field dict (no copies, unlike `asdict`)."""
     return {f.name: getattr(obj, f.name) for f in fields(obj)}
 
 
@@ -259,7 +249,7 @@ def _mean_or_none(values) -> float | None:
 def run_session(
     partition: StreamPartition,
     config: DriftConfig,
-    mode: SessionMode,
+    mode: str,
     state: FilterState | None = None,
 ) -> SessionReport:
     """Run one full session: Pass I, then the test stream.
@@ -270,8 +260,11 @@ def run_session(
     halts the session gracefully, recorded in the report.
 
     `state`, when given, is the Pass-I result of `run_batch_phase` on this
-    partition's training set and config.
+    partition's training set and config. A `mode` not in `MODES` raises
+    `DriftLoopError` before Pass I.
     """
+    if mode not in MODES:
+        raise DriftLoopError(f"mode must be one of {MODES}, got {mode!r}")
     if state is None:
         state = run_batch_phase(partition.training, config)
     records: list[BatchRecord] = []
@@ -291,7 +284,7 @@ def run_session(
         history.append((record.accuracy, record.fpr))
         all_scores.extend(scores)
         all_truths.extend(truths)
-        if mode is SessionMode.INCREMENTAL:
+        if mode == "incremental":
             cause = check_validation(history, config)
             if cause is not None:
                 rtrem = build_retraining_set(state, misclassified, batch)
@@ -327,7 +320,7 @@ def run_session(
         fp=sum(r.fp for r in records), fn=sum(r.fn for r in records),
     )
     return SessionReport(
-        mode=mode.value,
+        mode=mode,
         selector=config.selector,
         batches=tuple(records),
         events=tuple(events),

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import TERMS, Document, Label, LabeledCorpus
+from .corpus import TERMS, Document, LabeledCorpus
 
 logger = logging.getLogger(__name__)
 
@@ -144,8 +144,8 @@ def count_stats(corpus: LabeledCorpus) -> CorpusCounts:
     if n_spam + n_legit == 0:
         raise FeatureError("corpus has no labeled documents")
     classes = [
-        _token_ids([d for d in corpus.documents if d.label is label])
-        for label in (Label.SPAM, Label.LEGITIMATE)
+        _token_ids([d for d in corpus.documents if d.label == label])
+        for label in ("spam", "legitimate")
     ]
     width = len(TERMS)
     columns = []

@@ -5,12 +5,12 @@ from pathlib import Path
 
 import pytest
 
-from driftfilter.corpus import Document, Label, LabeledCorpus, stopwords
+from driftfilter.corpus import Document, LabeledCorpus, stopwords
 
 
 def make_doc(i, label, tokens):
-    if isinstance(label, str):
-        label = Label.SPAM if label == "spam" else Label.LEGITIMATE
+    """A document; "legit" is short for the "legitimate" label."""
+    label = "legitimate" if label == "legit" else label
     return Document(id=f"d{i}", label=label, tokens=tuple(tokens), arrival_index=i)
 
 

@@ -17,7 +17,7 @@ import pytest
 from driftfilter import cli, driftloop, features, metrics, svm
 from driftfilter.corpus import load_pu, partition_stream, synth_drift
 from driftfilter.driftloop import (
-    DriftConfig, SessionMode, build_retraining_set, incremental_retrain,
+    DriftConfig, build_retraining_set, incremental_retrain,
     run_batch_phase, run_session,
 )
 
@@ -27,7 +27,7 @@ from conftest import random_corpus
 
 def _as_pairs(corpus_):
     return [
-        ("spam" if d.label.value == "spam" else "legit", list(d.tokens))
+        ("spam" if d.label == "spam" else "legit", list(d.tokens))
         for d in corpus_.documents
     ]
 
@@ -164,11 +164,11 @@ def drift_run():
         return new_state, replaced
 
     started = time.monotonic()
-    batch_report = run_session(partition, config, SessionMode.BATCH)
+    batch_report = run_session(partition, config, "batch")
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(driftloop, "build_retraining_set", observed_build)
         patch.setattr(driftloop, "incremental_retrain", observed_retrain)
-        incr_report = run_session(partition, config, SessionMode.INCREMENTAL)
+        incr_report = run_session(partition, config, "incremental")
     elapsed = time.monotonic() - started
     assert len(retrain_sets) == len(updates) == len(incr_report.events)
     events = []
@@ -276,8 +276,8 @@ def test_criterion_7_pu1_dataset():
     )
     config = DriftConfig(rho=0.9, feature_dim=500,
                          train_config=svm.TrainConfig(C=1.0))
-    batch_report = run_session(partition, config, SessionMode.BATCH)
-    incr_report = run_session(partition, config, SessionMode.INCREMENTAL)
+    batch_report = run_session(partition, config, "batch")
+    incr_report = run_session(partition, config, "incremental")
     assert abs(batch_report.final.accuracy - 0.9675) <= 0.04
     assert abs(batch_report.final.mcc - 0.93) <= 0.08
     assert incr_report.avg_fpr <= batch_report.avg_fpr

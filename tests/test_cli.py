@@ -600,6 +600,10 @@ class TestCliCommands:
             (["run", "--n", "abc"], "n has a malformed value: 'abc'"),
             (["config", "dump", "--rho", "x"], "rho has a malformed value: 'x'"),
             (["config", "dump", "--mode", "bogus"], "mode must be one of"),
+            (["run", "--mode", "sideways"],
+             "mode must be one of ('batch', 'incremental'), got 'sideways'"),
+            (["config", "dump", "--fpr-trigger", "bogus"],
+             "fpr_trigger must be one of ('prev_batch', 'since_retrain'), got 'bogus'"),
             (["config", "dump", "--kernel", "poly"], "kernel must be one of"),
             # Chronology follows the format; it is not a key.
             (["config", "dump", "--config", str(inputs / "chronological.conf")],

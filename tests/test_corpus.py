@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from driftfilter import corpus, porter
 from driftfilter.corpus import (
-    CorpusError, Document, Label, LabeledCorpus, StreamPartition, load_ecml,
+    CorpusError, Document, LabeledCorpus, StreamPartition, load_ecml,
     load_enron, load_pu, partition_stream, preprocess_text, split_batches,
     stopwords, synth_drift, write_enron_layout,
 )
@@ -258,7 +258,7 @@ class TestLoadEnron:
         assert c.n_spam == 1
         # merged filename sort: 0001(ham), 0002(spam), 0003(ham)
         assert [d.label for d in c.documents] == [
-            Label.LEGITIMATE, Label.SPAM, Label.LEGITIMATE,
+            "legitimate", "spam", "legitimate",
         ]
         assert [d.arrival_index for d in c.documents] == [0, 1, 2]
 
@@ -367,6 +367,15 @@ class TestDocument:
         assert hash(a) == hash(b)
         assert "term_ids" not in repr(a)
         assert a != replace(a, tokens=("bb", "aa"))
+
+    @pytest.mark.parametrize("label", ["ham", "Spam", "legit", None])
+    def test_unknown_label_rejected(self, label):
+        # Unchecked, such a document trained as legitimate mail and was
+        # counted in neither class.
+        with pytest.raises(CorpusError, match=(
+            rf"^label must be one of \('spam', 'legitimate'\), got {label!r}$"
+        )):
+            Document("d0", label, ("aa",), 0)
 
 
 class TestLoadPu:
@@ -487,9 +496,9 @@ def test_load_pu_keeps_or_names_every_file(files, empty_dirs):
             if path.parent not in folds or path in unreadable:
                 continue
             if "spmsg" in path.name:
-                label = Label.SPAM
+                label = "spam"
             elif "msg" in path.name:
-                label = Label.LEGITIMATE
+                label = "legitimate"
             else:
                 continue
             text = path.read_bytes().decode("utf-8", errors="replace")
@@ -559,9 +568,9 @@ class TestLoadEcml:
         path.write_text("1 12:3 47:1\n-1\n", encoding="utf-8")
         c = load_ecml(path)
         assert c.documents[0].tokens == ("12", "12", "12", "47")
-        assert c.documents[0].label is Label.SPAM
+        assert c.documents[0].label == "spam"
         assert c.documents[1].tokens == ()
-        assert c.documents[1].label is Label.LEGITIMATE
+        assert c.documents[1].label == "legitimate"
 
     def test_byte_order_mark_is_skipped(self, tmp_path):
         plain, marked = tmp_path / "plain" / "t.ecml", tmp_path / "marked" / "t.ecml"
@@ -663,6 +672,18 @@ class TestPartitionStream:
         with pytest.raises(CorpusError, match=r"^seed must be >= 0, got -3$"):
             partition_stream(_numbered_corpus(10), 0.5, 2, chronological, seed=-3)
 
+    @pytest.mark.parametrize("n_batches, seed, message", [
+        (2.0, 0, "n_batches must be an int, got 2.0"),
+        (True, 0, "n_batches must be an int, got True"),
+        (2, 1.0, "seed must be an int, got 1.0"),
+        (2, False, "seed must be an int, got False"),
+    ])
+    def test_non_int_count_rejected(self, n_batches, seed, message):
+        with pytest.raises(CorpusError, match=f"^{message}$"):
+            partition_stream(_numbered_corpus(10), 0.5, n_batches, seed=seed)
+        with pytest.raises(CorpusError, match=f"^{message}$"):
+            corpus.check_partition(0.5, n_batches, seed)
+
     @pytest.mark.parametrize("source, target", [
         (0, 0),  # within the training set
         (0, 2),  # the training set and a batch
@@ -744,11 +765,18 @@ class TestSplitBatches:
         sizes = [len(b) for b in batches]
         assert max(sizes) - min(sizes) <= 1
 
+    @pytest.mark.parametrize("n_batches", [2.0, True])
+    def test_non_int_count_rejected(self, n_batches):
+        # Unchecked, 2.0 failed in range() and True cut one batch.
+        docs = _numbered_corpus(4).documents
+        with pytest.raises(CorpusError, match=f"^n_batches must be an int, got {n_batches}$"):
+            split_batches(docs, n_batches)
+
 
 def _phase_exclusive_vocab(stream, lo, hi):
     spam_tokens, legit_tokens = set(), set()
     for doc in stream.documents[lo:hi]:
-        if doc.label is Label.SPAM:
+        if doc.label == "spam":
             spam_tokens.update(doc.tokens)
         else:
             legit_tokens.update(doc.tokens)
@@ -794,6 +822,20 @@ class TestSynthDrift:
                 synth_drift(1, vocab_size=vocab_size, docs_per_phase=2)
         else:
             assert len(synth_drift(1, vocab_size=vocab_size, docs_per_phase=2).documents) == 4
+
+    @pytest.mark.parametrize("seed, vocab_size, docs_per_phase, message", [
+        (0, 40.0, 5, "vocab_size must be an int, got 40.0"),
+        (0, 4, True, "docs_per_phase must be an int, got True"),
+        (True, 4, 1, "seed must be an int, got True"),
+        (1.0, 40, 5, "seed must be an int, got 1.0"),
+    ])
+    def test_non_int_count_rejected(self, seed, vocab_size, docs_per_phase, message):
+        # Unchecked, a float failed in range() and True drew one document
+        # per phase.
+        with pytest.raises(CorpusError, match=f"^{message}$"):
+            synth_drift(seed, vocab_size=vocab_size, docs_per_phase=docs_per_phase)
+        with pytest.raises(CorpusError, match=f"^{message}$"):
+            corpus.check_synth(seed, vocab_size, docs_per_phase, 0.2)
 
     def test_negative_seed_rejected(self):
         # random.Random seeds from |seed|, so -3 would draw seed 3's stream.

@@ -1,17 +1,19 @@
 import json
 import random
+import re
 import uuid
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from driftfilter import cli, driftloop, features, metrics, svm
 from driftfilter.corpus import (
-    TERMS, Document, Label, LabeledCorpus, StreamPartition, partition_stream,
+    TERMS, Document, LabeledCorpus, StreamPartition, partition_stream,
     synth_drift,
 )
 from driftfilter.driftloop import (
-    DriftConfig, DriftLoopError, FprTrigger, SessionMode, TriggerCause,
+    DriftConfig, DriftLoopError,
     build_retraining_set, check_validation, evaluate_batch, incremental_retrain,
     run_batch_phase, run_session,
 )
@@ -42,15 +44,15 @@ class TestCheckValidation:
     def test_accuracy_threshold(self):
         history = [(0.95, 0.02), (0.89, 0.02)]
         cause = check_validation(history, small_config())
-        assert cause is TriggerCause.ACCURACY_BELOW_RHO
+        assert cause == "accuracy_below_rho"
 
     def test_accuracy_equal_rho_fires(self):
         cause = check_validation([(0.9, 0.0)], small_config())
-        assert cause is TriggerCause.ACCURACY_BELOW_RHO
+        assert cause == "accuracy_below_rho"
 
     def test_fpr_increase(self):
         history = [(0.95, 0.02), (0.95, 0.05)]
-        assert check_validation(history, small_config()) is TriggerCause.FPR_INCREASED
+        assert check_validation(history, small_config()) == "fpr_increased"
 
     def test_single_batch_no_fire(self):
         assert check_validation([(0.95, 0.02)], small_config()) is None
@@ -58,16 +60,23 @@ class TestCheckValidation:
     def test_accuracy_takes_precedence(self):
         history = [(0.95, 0.02), (0.85, 0.05)]
         cause = check_validation(history, small_config())
-        assert cause is TriggerCause.ACCURACY_BELOW_RHO
+        assert cause == "accuracy_below_rho"
 
     def test_since_retrain_reference(self):
         history = [(0.95, 0.05), (0.95, 0.03), (0.95, 0.04)]
         prev = check_validation(history, small_config())
-        assert prev is TriggerCause.FPR_INCREASED  # 0.04 > 0.03
+        assert prev == "fpr_increased"  # 0.04 > 0.03
         since = check_validation(
-            history, small_config(fpr_trigger=FprTrigger.SINCE_RETRAIN)
+            history, small_config(fpr_trigger="since_retrain")
         )
         assert since is None  # 0.04 <= 0.05 baseline
+
+    def test_prev_batch_reference_is_the_default(self):
+        # 0.1 is below the previous batch's 0.2 but above the first's 0.0.
+        history = [(0.95, 0.0), (0.95, 0.2), (0.95, 0.1)]
+        assert check_validation(history, small_config()) is None
+        since = small_config(fpr_trigger="since_retrain")
+        assert check_validation(history, since) == "fpr_increased"
 
     def test_absent_fpr_never_fires(self):
         history = [(0.95, None), (0.95, None)]
@@ -117,7 +126,7 @@ class TestRunBatchPhase:
         assert model.sv_indices
         assert state.sv_documents == tuple(training.documents[i] for i in model.sv_indices)
         assert model.sv_labels == tuple(
-            1 if d.label is Label.SPAM else -1 for d in state.sv_documents
+            1 if d.label == "spam" else -1 for d in state.sv_documents
         )
         for doc, sv in zip(state.sv_documents, model.sv_vectors):
             vector = features.vectorize_all([doc], state.feature_set)[0]
@@ -140,7 +149,7 @@ class TestEvaluateBatch:
         flipped_docs = tuple(
             make_doc(
                 d.arrival_index,
-                Label.LEGITIMATE if d.label is Label.SPAM else Label.SPAM,
+                "legitimate" if d.label == "spam" else "spam",
                 d.tokens,
             )
             for d in corpus_.documents
@@ -213,7 +222,7 @@ class TestIncrementalRetrain:
             make_doc(100 + i, "spam", ["badtok1", "badtok2"]) for i in range(4)
         ))
         state = replace(state, sv_documents=tuple(
-            d for d in state.sv_documents if d.label is Label.SPAM
+            d for d in state.sv_documents if d.label == "spam"
         ))
         rtrem = build_retraining_set(state, [], spam_only)
         assert rtrem.n_legit == 0
@@ -267,12 +276,24 @@ def scored_session(monkeypatch, *args):
 
 
 class TestRunSession:
+    @pytest.mark.parametrize("mode", ["sideways", "INCREMENTAL", None])
+    def test_unknown_mode_rejected_before_pass_one(self, monkeypatch, mode):
+        def no_pass_one(*args):
+            raise AssertionError("Pass I ran")
+
+        monkeypatch.setattr(driftloop, "run_batch_phase", no_pass_one)
+        partition = partition_stream(separable_corpus(), 1 / 3, 2)
+        with pytest.raises(DriftLoopError, match=(
+            rf"^mode must be one of \('batch', 'incremental'\), got {mode!r}$"
+        )):
+            run_session(partition, small_config(n=8), mode)
+
     def test_no_drift_no_retrain_and_reports_match(self):
         stream = synth_drift(1, vocab_size=120, docs_per_phase=120, overlap=1.0)
         partition = partition_stream(stream, 1 / 3, 5)
         config = small_config(n=60)
-        batch_report = run_session(partition, config, SessionMode.BATCH)
-        incr_report = run_session(partition, config, SessionMode.INCREMENTAL)
+        batch_report = run_session(partition, config, "batch")
+        incr_report = run_session(partition, config, "incremental")
         assert incr_report.events == ()
         assert batch_report.batches == incr_report.batches
         assert batch_report.final == incr_report.final
@@ -282,8 +303,8 @@ class TestRunSession:
         stream = synth_drift(0, vocab_size=160, docs_per_phase=150, overlap=0.2)
         partition = partition_stream(stream, 1 / 3, 5)
         config = small_config(n=80)
-        batch_report = run_session(partition, config, SessionMode.BATCH)
-        incr_report = run_session(partition, config, SessionMode.INCREMENTAL)
+        batch_report = run_session(partition, config, "batch")
+        incr_report = run_session(partition, config, "incremental")
         assert len(incr_report.events) >= 1
         assert incr_report.final.accuracy > batch_report.final.accuracy
         for event in incr_report.events:
@@ -292,7 +313,7 @@ class TestRunSession:
             assert event.retrain_size < event.cumulative_seen
 
     @pytest.mark.parametrize("seed", [0, 4])
-    @pytest.mark.parametrize("mode", [SessionMode.BATCH, SessionMode.INCREMENTAL])
+    @pytest.mark.parametrize("mode", ["batch", "incremental"])
     def test_roc_pools_each_batchs_first_scores(self, monkeypatch, mode, seed):
         # A session's ROC pools the scores that each batch got from the model
         # of its generation, before any retrain on it; a batch session has
@@ -300,7 +321,7 @@ class TestRunSession:
         stream = synth_drift(seed, vocab_size=160, docs_per_phase=150, overlap=0.2)
         partition = partition_stream(stream, 1 / 3, 5)
         report, first = scored_session(monkeypatch, partition, small_config(n=80), mode)
-        assert bool(report.events) == (mode is SessionMode.INCREMENTAL)
+        assert bool(report.events) == (mode == "incremental")
         assert sorted(first) == list(range(len(partition.test_batches)))
         scores = [s for k in sorted(first) for s in first[k][0]]
         truths = [t for k in sorted(first) for t in first[k][1]]
@@ -313,7 +334,7 @@ class TestRunSession:
     def test_cumulative_seen_counts_through_the_violating_batch(self):
         stream = synth_drift(0, vocab_size=160, docs_per_phase=150, overlap=0.2)
         partition = partition_stream(stream, 1 / 3, 5)
-        report = run_session(partition, small_config(n=80), SessionMode.INCREMENTAL)
+        report = run_session(partition, small_config(n=80), "incremental")
         assert report.events
         sizes = [len(batch) for batch in partition.test_batches]
         for event in report.events:
@@ -337,7 +358,7 @@ class TestRunSession:
 
         monkeypatch.setattr(driftloop, "build_retraining_set", recording)
         report, first = scored_session(
-            monkeypatch, partition, small_config(n=80), SessionMode.INCREMENTAL
+            monkeypatch, partition, small_config(n=80), "incremental"
         )
         # Per batch, the ids of the mail its score put in the wrong class.
         wrong = []
@@ -371,7 +392,7 @@ class TestRunSession:
             make_doc(104, "spam", ["badtok1"]), make_doc(105, "legit", ["goodtok1"]),
         ))
         partition = StreamPartition(separable_corpus(), (spam, mixed))
-        report = run_session(partition, config, SessionMode.INCREMENTAL)
+        report = run_session(partition, config, "incremental")
         assert report.halted == (
             "retraining set at batch 0 contains a single class "
             "(4 spam / 0 legitimate)"
@@ -388,8 +409,8 @@ class TestRunSession:
     def test_batch_mode_invariant_to_rho(self):
         stream = synth_drift(2, vocab_size=120, docs_per_phase=100, overlap=0.3)
         partition = partition_stream(stream, 1 / 3, 4)
-        low = run_session(partition, small_config(n=60, rho=0.5), SessionMode.BATCH)
-        high = run_session(partition, small_config(n=60, rho=0.95), SessionMode.BATCH)
+        low = run_session(partition, small_config(n=60, rho=0.5), "batch")
+        high = run_session(partition, small_config(n=60, rho=0.95), "batch")
         assert low.to_json() == high.to_json()
 
     def test_feature_dimension_constant_across_generations(self, monkeypatch):
@@ -404,7 +425,7 @@ class TestRunSession:
             return new_state, replaced
 
         monkeypatch.setattr(driftloop, "incremental_retrain", observed_retrain)
-        report = run_session(partition, config, SessionMode.INCREMENTAL)
+        report = run_session(partition, config, "incremental")
         assert len(feature_sets) == len(report.events) >= 1
         dim0 = len(feature_sets[0][0])
         for _, after in feature_sets:
@@ -416,8 +437,8 @@ class TestRunSession:
         stream = synth_drift(4, vocab_size=120, docs_per_phase=100, overlap=0.2)
         partition = partition_stream(stream, 1 / 3, 4)
         config = small_config(n=60)
-        a = run_session(partition, config, SessionMode.INCREMENTAL)
-        b = run_session(partition, config, SessionMode.INCREMENTAL)
+        a = run_session(partition, config, "incremental")
+        b = run_session(partition, config, "incremental")
         assert a.to_json() == b.to_json()
 
     def test_shared_pass_one_state_gives_the_same_reports(self):
@@ -425,7 +446,7 @@ class TestRunSession:
         partition = partition_stream(stream, 1 / 3, 5)
         config = small_config(n=80)
         state = run_batch_phase(partition.training, config)
-        for mode in (SessionMode.INCREMENTAL, SessionMode.BATCH, SessionMode.INCREMENTAL):
+        for mode in ("incremental", "batch", "incremental"):
             shared = run_session(partition, config, mode, state)
             assert shared.to_json() == run_session(partition, config, mode).to_json()
         assert state == run_batch_phase(partition.training, config)
@@ -461,7 +482,7 @@ class TestRunSession:
                 assert sorted(first_seen, key=TERMS.ids.__getitem__) != first_seen
             partition = partition_stream(copy, 1 / 3, 5)
             report, first = scored_session(
-                monkeypatch, partition, config, SessionMode.INCREMENTAL
+                monkeypatch, partition, config, "incremental"
             )
             reports.append(report)
             scores.append(first)
@@ -496,13 +517,13 @@ class TestRunSession:
             rho=0.9, feature_dim=60,
             train_config=svm.TrainConfig(C=1.0, kernel=kernel, gamma=gamma),
         )
-        for mode in (SessionMode.BATCH, SessionMode.INCREMENTAL):
+        for mode in ("batch", "incremental"):
             reports, scores = zip(*(
                 scored_session(monkeypatch, partition_stream(s, 1 / 3, 6), config, mode)
                 for s in (stream, transformed)
             ))
             assert scores[0] == scores[1]
-            if mode is SessionMode.INCREMENTAL:
+            if mode == "incremental":
                 assert reports[0].events
             assert reports[0].partition_checksum != reports[1].partition_checksum
             same = [replace(r, partition_checksum="").to_json() for r in reports]
@@ -529,7 +550,7 @@ class TestRunSession:
             train_config=svm.TrainConfig(C=1.0, kernel=kernel, gamma=gamma),
         )
         reports, scores = zip(*(
-            scored_session(monkeypatch, p, config, SessionMode.BATCH)
+            scored_session(monkeypatch, p, config, "batch")
             for p in (partition, extended)
         ))
         assert scores[0] == scores[1]
@@ -551,7 +572,7 @@ class TestRunSession:
         # keeps a score near 0 from landing in the gap between the solves
         # and flipping one document's class.
         def swap(d):
-            return replace(d, label=Label.LEGITIMATE if d.label is Label.SPAM else Label.SPAM)
+            return replace(d, label="legitimate" if d.label == "spam" else "spam")
 
         stream = synth_drift(seed, vocab_size=200, docs_per_phase=300)
         partitions = [
@@ -571,7 +592,7 @@ class TestRunSession:
             objective, swapped_objective = (state.model.objective for state in states)
             assert abs(objective - swapped_objective) <= bound
             report, swapped = (
-                run_session(p, config, SessionMode.BATCH, state)
+                run_session(p, config, "batch", state)
                 for p, state in zip(partitions, states)
             )
             for record, other in zip(report.batches, swapped.batches, strict=True):
@@ -583,7 +604,7 @@ class TestRunSession:
         # the rebuilt report writes the same text.
         stream = synth_drift(4, vocab_size=120, docs_per_phase=100, overlap=0.2)
         partition = partition_stream(stream, 1 / 3, 4)
-        report = run_session(partition, small_config(n=60), SessionMode.INCREMENTAL)
+        report = run_session(partition, small_config(n=60), "incremental")
         assert report.events
         text = report.to_json()
         payload = json.loads(text)
@@ -592,7 +613,7 @@ class TestRunSession:
             **payload,
             "batches": tuple(driftloop.BatchRecord(**b) for b in payload["batches"]),
             "events": tuple(
-                driftloop.RetrainEvent(**{**e, "cause": TriggerCause(e["cause"])})
+                driftloop.RetrainEvent(**e)
                 for e in payload["events"]
             ),
             "final": metrics.MetricsReport(**payload["final"]),
@@ -645,3 +666,23 @@ class TestDriftConfig:
         for dim in (2.5, True, "80"):
             with pytest.raises(DriftLoopError, match="feature_dim must be an int"):
                 DriftConfig(feature_dim=dim)
+
+    @pytest.mark.parametrize("trigger", ["bogus", "PREV_BATCH", None])
+    def test_unknown_fpr_trigger_rejected(self, trigger):
+        # Unchecked, any value but "prev_batch" ran the since-retrain rule.
+        with pytest.raises(DriftLoopError, match=(
+            r"^fpr_trigger must be one of \('prev_batch', 'since_retrain'\), "
+            f"got {trigger!r}$"
+        )):
+            DriftConfig(fpr_trigger=trigger)
+
+
+def test_readme_library_example_runs(capsys):
+    # The README's one `python` block, run as written.
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"```python\n(.*?)```", readme.read_text(encoding="utf-8"), re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], str(readme), "exec"), {})
+    accuracy, retrains = capsys.readouterr().out.split(" ", 1)
+    assert 0.5 < float(accuracy) <= 1.0
+    assert json.loads(retrains)  # the drifting stream triggers a retrain

@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from driftfilter import features
-from driftfilter.corpus import Document, Label, LabeledCorpus
+from driftfilter.corpus import LABELS, Document, LabeledCorpus
 from driftfilter.features import (
     CorpusCounts, FeatureCounts, FeatureError, FeatureSet, SparseVector,
     baseline_score, count_stats, select_top_n, select_top_n_scored,
@@ -33,12 +33,12 @@ def _fresh(n):
 def _counter_counts(corpus_):
     """count_stats by Counter over the token strings (the reference)."""
     tokens = {
-        label: [d.tokens for d in corpus_.documents if d.label is label]
-        for label in (Label.SPAM, Label.LEGITIMATE)
+        label: [d.tokens for d in corpus_.documents if d.label == label]
+        for label in LABELS
     }
     tf = {k: Counter(chain.from_iterable(v)) for k, v in tokens.items()}
     df = {k: Counter(chain.from_iterable(map(set, v))) for k, v in tokens.items()}
-    spam, legit = Label.SPAM, Label.LEGITIMATE
+    spam, legit = LABELS
     return {
         term: FeatureCounts(
             tf[spam][term], tf[legit][term], df[spam][term], df[legit][term]
@@ -69,7 +69,7 @@ def _assert_matches_reference(docs, fs):
 
 def _as_pairs(corpus_):
     return [
-        ("spam" if d.label.value == "spam" else "legit", list(d.tokens))
+        ("spam" if d.label == "spam" else "legit", list(d.tokens))
         for d in corpus_.documents
     ]
 
@@ -102,7 +102,7 @@ class TestCountStats:
                 )
 
     @given(st.lists(st.tuples(
-        st.sampled_from(list(Label)), st.lists(_TERM_TEXT, max_size=30),
+        st.sampled_from(LABELS), st.lists(_TERM_TEXT, max_size=30),
     ), max_size=12))
     def test_equals_counter_reference(self, spec):
         c = LabeledCorpus(tuple(
